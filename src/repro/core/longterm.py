@@ -124,10 +124,6 @@ class LongTermPlanner:
         self.config = config or LongTermConfig()
         self.history: list[AdaptationRecord] = []
 
-    def observe_window(self, t_s: float, rates: dict[str, float]) -> None:
-        """Feed observed source rates (call once per monitoring window)."""
-        self.forecaster.observe(t_s, rates)
-
     def background_round(self, now_s: float) -> AdaptationRecord | None:
         """One background iteration: forecast, evaluate, maybe re-plan.
 

@@ -46,19 +46,6 @@ def mbps_to_eps(bandwidth_mbps: float, event_bytes: float) -> float:
 
 
 @dataclass
-class FlowKey:
-    """Identifies one inter-site flow of a stage edge."""
-
-    src_stage: str
-    dst_stage: str
-    src_site: str
-    dst_site: str
-
-    def as_tuple(self) -> tuple[str, str, str, str]:
-        return (self.src_stage, self.dst_stage, self.src_site, self.dst_site)
-
-
-@dataclass
 class RuntimeSnapshot:
     """Copy-on-write capture of the engine's mutable state (rollback unit).
 

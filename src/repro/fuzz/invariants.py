@@ -20,9 +20,10 @@ state.  From those two views it asserts the paper-level properties:
   placement, every WAN flow the placement induces fits within
   ``alpha * B`` of its link.
 * **scale-law** (Section 4.2) - a committed scale-up/out lands strictly
-  above the old parallelism and at or below the DS2-style target
-  ``p' = ceil(lambda_hat_I / lambda_P * p)`` (plus the scale-out link
-  deficit bound).
+  above the old parallelism and at or below the bound of the formula its
+  diagnosis selects: the DS2-style target
+  ``p' = ceil(lambda_hat_I / lambda_P * p)`` for a compute bottleneck, the
+  link-deficit target for a network bottleneck.
 * **migration-minmax** (Section 5) - a committed WASP-strategy
   re-assignment's migration achieves the minmax over destination
   assignments; transfer arithmetic (``duration = MB * 8 / Mbps``,
@@ -52,6 +53,7 @@ from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
+from ..core.diagnosis import Health
 from ..core.scaling import compute_scale_out_target, compute_scale_up_target
 from ..engine.runtime import MBIT_BYTES, TickReport
 
@@ -550,7 +552,11 @@ class InvariantChecker:
         The committed ``p'`` may fall below the decision target (partial
         slot availability, feasibility-capped scale-out) but must be
         strictly above the old ``p`` and never exceed the bound the round's
-        own diagnosis implies.
+        own diagnosis implies.  The bound follows the diagnosis, as the
+        policy's does, not the action kind: a compute-bound scale that
+        lands on a new site is a "scale out" yet obeys the DS2 formula, and
+        a network-bound one that stays on its sites is a "scale up" yet
+        obeys the link-deficit formula.
         """
         run = self._run
         assert run is not None and run.manager is not None
@@ -563,11 +569,11 @@ class InvariantChecker:
         self._mark("scale-law")
         new_p = stage.parallelism
         proxy = SimpleNamespace(name=stage_name, parallelism=old_p)
-        if action == "scale up":
+        if diagnosis.health is Health.COMPUTE_BOUND:
             bound = compute_scale_up_target(
                 proxy, diagnosis, manager.config
             ).target
-        else:  # scale out
+        else:  # network bound
             bound = max(
                 compute_scale_out_target(
                     proxy, diagnosis, manager.config

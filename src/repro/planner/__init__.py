@@ -9,7 +9,6 @@ from .enumerate import (
     join_tree_plans,
     region_groupings,
 )
-from .ilp import IntegerProgram, IlpSolution, solve_branch_and_bound
 from .placement import (
     DownstreamDemand,
     PlacementProblem,
@@ -17,7 +16,6 @@ from .placement import (
     UpstreamFlow,
     max_placeable_tasks,
     solve_placement,
-    solve_with_milp,
 )
 from .rules import optimize
 from .scheduler import AssignmentDiff, Scheduler
@@ -27,8 +25,6 @@ __all__ = [
     "Branch",
     "DeploymentEstimate",
     "DownstreamDemand",
-    "IlpSolution",
-    "IntegerProgram",
     "PlacementProblem",
     "PlacementSolution",
     "Scheduler",
@@ -42,7 +38,5 @@ __all__ = [
     "max_placeable_tasks",
     "optimize",
     "region_groupings",
-    "solve_branch_and_bound",
     "solve_placement",
-    "solve_with_milp",
 ]

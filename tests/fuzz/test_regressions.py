@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.fuzz.campaign import load_artifact, run_scenario
+from repro.fuzz.campaign import load_artifact, run_campaign, run_scenario
 from repro.fuzz.invariants import INVARIANTS
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
@@ -62,3 +62,19 @@ def test_fixtures_are_normalized_json():
         payload = json.loads(path.read_text())
         canonical = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         assert path.read_text() == canonical, path.name
+
+
+@pytest.mark.parametrize("seed", [2039, 3005])
+def test_scale_law_bound_follows_the_diagnosis(seed):
+    """The scale-law bound is the formula the policy applied.
+
+    Seed 3005 commits a compute-bound scale that lands on a new site (a
+    "scale out" obeying the DS2 bound); seed 2039 commits a network-bound
+    scale that stays on its sites (a "scale up" obeying the link-deficit
+    bound).  Choosing the bound by action kind flags both as violations.
+    """
+    report = run_campaign(1, base_seed=seed)
+    assert report.ok, [
+        v.to_dict() for r in report.results for v in r.violations
+    ]
+    assert report.checks().get("scale-law", 0) > 0

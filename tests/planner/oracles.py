@@ -1,13 +1,20 @@
-"""A small branch-and-bound integer linear program solver.
+"""Exact integer-programming oracles for the placement tests.
 
-The WASP prototype calls Gurobi for its placement ILP (Section 8.1).  Gurobi
-is not available offline, so this module provides a self-contained
-branch-and-bound solver over scipy's LP relaxation (``linprog``/HiGHS).  The
-production code path uses the greedy reduction in
-:mod:`repro.planner.placement`; this solver exists as the Gurobi stand-in for
-general instances and as an independent oracle in the test suite.
+The WASP prototype calls Gurobi for its placement ILP (Section 8.1).  The
+reproduction's production path is the greedy reduction in
+:mod:`repro.planner.placement`, which is provably optimal for WASP's
+one-stage-at-a-time placement.  The exact solvers here exist only to check
+that reduction:
 
-The solver handles::
+* :func:`solve_branch_and_bound` - a self-contained branch-and-bound solver
+  over scipy's LP relaxation (``linprog``/HiGHS), the Gurobi stand-in for
+  general instances;
+* :func:`solve_with_milp` - the Equations 1-5 system handed to
+  ``scipy.optimize.milp``.
+
+Both need scipy, which is therefore a test-only dependency.
+
+The branch-and-bound solver handles::
 
     min  c . x
     s.t. A_ub . x <= b_ub
@@ -23,9 +30,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
-from ..errors import PlacementError
+from repro.errors import InfeasiblePlacementError, PlacementError
+from repro.planner.placement import (
+    NetworkView,
+    PlacementProblem,
+    PlacementSolution,
+    per_site_capacity,
+    site_cost_ms,
+)
 
 
 @dataclass(frozen=True)
@@ -156,3 +170,48 @@ def solve_branch_and_bound(
     if best_x is None:
         raise Infeasible("no integer-feasible solution")
     return IlpSolution(x=best_x, objective=best_obj, nodes_explored=nodes)
+
+
+def solve_with_milp(
+    problem: PlacementProblem,
+    network: NetworkView,
+) -> PlacementSolution:
+    """Reference MILP solution via scipy, used to cross-check the greedy.
+
+    Solves ``min c.x`` subject to ``0 <= x[s] <= cap[s]`` and
+    ``sum x = p`` with integrality, which is the full Equations 1-5 system
+    after folding the per-site bandwidth constraints into ``cap``.
+    """
+    sites = sorted(problem.available_slots)
+    costs = np.array(
+        [site_cost_ms(site, problem, network) for site in sites]
+    )
+    caps = np.array(
+        [per_site_capacity(site, problem, network) for site in sites],
+        dtype=float,
+    )
+    if caps.sum() < problem.parallelism:
+        raise InfeasiblePlacementError(
+            f"cannot place {problem.parallelism} tasks (milp)"
+        )
+    constraint = LinearConstraint(
+        np.ones((1, len(sites))), problem.parallelism, problem.parallelism
+    )
+    result = milp(
+        c=costs,
+        constraints=[constraint],
+        integrality=np.ones(len(sites)),
+        bounds=Bounds(0, caps),
+    )
+    if not result.success:
+        raise InfeasiblePlacementError(f"milp failed: {result.message}")
+    assignment = {
+        site: int(round(x))
+        for site, x in zip(sites, result.x)
+        if round(x) > 0
+    }
+    return PlacementSolution(
+        assignment=assignment,
+        cost=float(result.fun),
+        per_site_cost={s: float(c) for s, c in zip(sites, costs)},
+    )

@@ -1,4 +1,4 @@
-"""Tests for repro.planner.ilp - the branch-and-bound solver."""
+"""Tests for the branch-and-bound ILP oracle (tests/planner/oracles.py)."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import PlacementError
-from repro.planner.ilp import (
+from tests.planner.oracles import (
     Infeasible,
     IntegerProgram,
     solve_branch_and_bound,

@@ -1,9 +1,9 @@
 """Differential test: placement solvers vs brute-force enumeration.
 
 For instances small enough to enumerate exhaustively (<= 3 sites, <= 3
-tasks), every optimizer in the planner stack - the greedy reduction
-(``solve_placement``), the scipy MILP cross-check (``solve_with_milp``)
-and the branch-and-bound ILP solver - must agree with the brute-force
+tasks), the production greedy reduction (``solve_placement``) and both
+exact oracles in ``tests/planner/oracles.py`` - the scipy MILP
+(``solve_with_milp``) and the branch-and-bound ILP solver - must agree with the brute-force
 optimum of the Section 4.1 program: minimize the latency objective over
 all integer assignments satisfying the alpha-headroom flow caps (Eqs 2-3),
 slot capacities (Eq 4) and full deployment (Eq 5).
@@ -24,17 +24,17 @@ from hypothesis import strategies as st
 
 from repro.engine.runtime import MBIT_BYTES
 from repro.errors import InfeasiblePlacementError
-from repro.planner.ilp import (
-    Infeasible,
-    IntegerProgram,
-    solve_branch_and_bound,
-)
 from repro.planner.placement import (
     DownstreamDemand,
     PlacementProblem,
     UpstreamFlow,
     site_cost_ms,
     solve_placement,
+)
+from tests.planner.oracles import (
+    Infeasible,
+    IntegerProgram,
+    solve_branch_and_bound,
     solve_with_milp,
 )
 

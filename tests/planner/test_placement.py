@@ -15,8 +15,8 @@ from repro.planner.placement import (
     per_site_capacity,
     site_cost_ms,
     solve_placement,
-    solve_with_milp,
 )
+from tests.planner.oracles import solve_with_milp
 
 
 class GridNetwork:
