@@ -2,9 +2,10 @@
 
 The hot-path optimization must be invisible to every experiment: a fixed
 seed has to produce bit-identical recorder output before and after.  This
-module runs two canonical fixed-seed scenarios (the Fig-8 bottleneck run
-and a chaos-enabled run with mid-adaptation faults) and hashes every
-recorded sample, adaptation and fault event at full float precision.
+module runs three canonical fixed-seed scenarios (the Fig-8 bottleneck run,
+the same run with 15% WAN-monitor estimation error, and a chaos-enabled run
+with mid-adaptation faults) and hashes every recorded sample, adaptation
+and fault event at full float precision.
 
 Compare across commits::
 
@@ -18,6 +19,7 @@ import hashlib
 from repro.baselines.variants import wasp
 from repro.chaos.faults import BandwidthCollapse, SiteCrash, Straggler
 from repro.chaos.injector import ChaosInjector
+from repro.config import WaspConfig
 from repro.experiments.harness import ExperimentRun
 from repro.experiments.scenarios import bottleneck_dynamics, fig8_scenario
 from repro.sim.recorder import RunRecorder
@@ -47,17 +49,34 @@ def recorder_digest(recorder: RunRecorder) -> str:
     return h.hexdigest()
 
 
-def _build_run(seed: int = DIGEST_SEED) -> ExperimentRun:
+#: Relative WAN-monitor error of the noisy scenario (as in the alpha
+#: ablation): every monitoring round draws one noise factor per link.
+NOISY_ESTIMATION_ERROR = 0.15
+
+
+def _build_run(
+    seed: int = DIGEST_SEED, config: WaspConfig | None = None
+) -> ExperimentRun:
     scenario = fig8_scenario("topk-topics")
     rngs = RngRegistry(seed)
     topology = scenario.make_topology(rngs)
     query = scenario.make_query(topology, rngs)
-    return ExperimentRun(topology, query, wasp(), rngs=rngs)
+    return ExperimentRun(topology, query, wasp(), config=config, rngs=rngs)
 
 
 def fig8_digest(duration_s: float = 450.0, seed: int = DIGEST_SEED) -> str:
     """Digest of a fixed-seed Fig-8 bottleneck run (WASP variant)."""
     run = _build_run(seed)
+    run.run(duration_s, bottleneck_dynamics())
+    return recorder_digest(run.recorder)
+
+
+def noisy_digest(duration_s: float = 450.0, seed: int = DIGEST_SEED) -> str:
+    """Digest of the Fig-8 run planned against noisy WAN measurements."""
+    config = WaspConfig.paper_defaults().with_overrides(
+        estimation_error=NOISY_ESTIMATION_ERROR
+    )
+    run = _build_run(seed, config)
     run.run(duration_s, bottleneck_dynamics())
     return recorder_digest(run.recorder)
 
@@ -84,6 +103,7 @@ def chaos_digest(duration_s: float = 450.0, seed: int = DIGEST_SEED) -> str:
 
 def main() -> int:
     print(f"fig8  {fig8_digest()}")
+    print(f"noisy {noisy_digest()}")
     print(f"chaos {chaos_digest()}")
     return 0
 

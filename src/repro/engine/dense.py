@@ -37,7 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import WaspConfig
-from ..errors import ConfigurationError, SimulationError, TopologyError
+from ..errors import ConfigurationError, SimulationError
 from ..network.topology import (
     LOCAL_BANDWIDTH_MBPS,
     Topology,
@@ -162,7 +162,7 @@ class _DenseModel:
         "plan", "version", "B", "dt",
         "in_rows", "in_index", "in_persistent",
         "net_rows", "net_index", "net_persistent",
-        "sites", "links", "link_base", "link_local",
+        "sites", "links", "link_wan",
         "groups", "sources", "n_in", "n_net",
     )
 
@@ -272,27 +272,15 @@ class _DenseModel:
 
         links: list[tuple[str, str]] = []
         link_index: dict[tuple[str, str], int] = {}
-        link_base: list[float] = []
-        link_local: list[bool] = []
 
         def link_id(su: str, sd: str) -> int:
             key = (su, sd)
             li = link_index.get(key)
             if li is None:
+                topology.bandwidth_mbps(su, sd)  # raises if undefined
                 li = len(links)
                 link_index[key] = li
                 links.append(key)
-                if su == sd:
-                    link_base.append(LOCAL_BANDWIDTH_MBPS)
-                    link_local.append(True)
-                else:
-                    base = topology._base_bandwidth.get(key)
-                    if base is None:
-                        raise TopologyError(
-                            f"no link defined from {su!r} to {sd!r}"
-                        )
-                    link_base.append(base)
-                    link_local.append(False)
             return li
 
         flows_by_src: dict[str, list[tuple[str, str, str, str]]] = {}
@@ -475,8 +463,7 @@ class _DenseModel:
 
             self.groups.append(g)
         self.links = links
-        self.link_base = np.array(link_base) if links else np.empty(0)
-        self.link_local = link_local
+        self.link_wan = np.array([su != sd for su, sd in links], dtype=bool)
 
 
 class DenseEngineRuntime(EngineRuntime):
@@ -515,8 +502,8 @@ class DenseEngineRuntime(EngineRuntime):
         #: authoritative).
         self._dicts_fresh = True
         #: Cached per-tick link budget base ``base * factor * bytes``; keyed
-        #: on (model identity, topology factors version).
-        self._lb_cache: tuple[_DenseModel, int, np.ndarray] | None = None
+        #: on (model identity, the link table's current-bandwidth array).
+        self._lb_cache: tuple[_DenseModel, np.ndarray, np.ndarray] | None = None
 
     # ----------------------------- sync ------------------------------- #
 
@@ -762,35 +749,22 @@ class DenseEngineRuntime(EngineRuntime):
             dtype=np.float64,
             count=len(model.sites),
         )
-        n_links = len(model.links)
-        if n_links:
-            fver = self._topology._factors_version
-            cache = self._lb_cache
-            if cache is None or cache[0] is not model or cache[1] != fver:
-                factors = self._topology._factors
-                gfac = self._topology._global_factor
-                fac = np.fromiter(
-                    (
-                        1.0 if local else factors.get(link, gfac)
-                        for link, local in zip(model.links, model.link_local)
-                    ),
-                    dtype=np.float64,
-                    count=n_links,
-                )
-                lb_base = model.link_base * fac * (MBIT_BYTES * dt)
-                self._lb_cache = (model, fver, lb_base)
-            else:
-                lb_base = cache[2]
-            lb = lb_base.copy()
-            touched = np.zeros(n_links, dtype=bool)
-            if link_budget:
-                for i, link in enumerate(model.links):
-                    existing = link_budget.get(link)
-                    if existing is not None:
-                        lb[i] = existing
-        else:
-            lb = None
-            touched = None
+        table = self._topology.link_table()
+        wan_bw = table.bandwidth_mbps
+        cache = self._lb_cache
+        if cache is None or cache[0] is not model or cache[1] is not wan_bw:
+            bw = np.full(len(model.links), LOCAL_BANDWIDTH_MBPS)
+            bw[model.link_wan] = wan_bw[
+                [table.index[key] for key in model.links if key[0] != key[1]]
+            ]
+            cache = self._lb_cache = (model, wan_bw, bw * (MBIT_BYTES * dt))
+        lb = cache[2].copy()
+        touched = np.zeros(len(model.links), dtype=bool)
+        if link_budget:
+            for i, link in enumerate(model.links):
+                existing = link_budget.get(link)
+                if existing is not None:
+                    lb[i] = existing
 
         # 1. External generation (mean age dt/2 -> bucket 0).
         mean_gen = now - dt * 0.5
@@ -989,7 +963,7 @@ class DenseEngineRuntime(EngineRuntime):
                 net_backlog[model.net_rows[i]] = v
 
         # Write back consumed link budgets (shared-contention contract).
-        if touched is not None and touched.any():
+        if touched.any():
             lb_list = lb.tolist()
             for i in np.nonzero(touched)[0].tolist():
                 link_budget[model.links[i]] = lb_list[i]

@@ -54,7 +54,12 @@ class WanMonitor:
         self._topology = topology
         self._rng = rng
         self._relative_error = float(relative_error)
-        self._measurements: dict[tuple[str, str], LinkMeasurement] = {}
+        #: The last snapshot (a refresh, plus later :meth:`remeasure` calls)
+        #: as parallel lists; ``_row`` maps a ``(src, dst)`` key to a row.
+        self._row: dict[tuple[str, str], int] = {}
+        self._bandwidth: list[float] = []
+        self._latency: list[float] = []
+        self._measured_at: list[float] = []
         self._last_refresh_s = float("-inf")
 
     @property
@@ -62,20 +67,19 @@ class WanMonitor:
         return self._last_refresh_s
 
     def refresh(self, now_s: float) -> None:
-        """Re-measure every defined link (one monitoring round)."""
-        for link in self._topology.links():
-            noise = 1.0
-            if self._relative_error > 0:
-                noise = self._rng.uniform(
-                    1.0 - self._relative_error, 1.0 + self._relative_error
-                )
-            self._measurements[(link.src, link.dst)] = LinkMeasurement(
-                src=link.src,
-                dst=link.dst,
-                bandwidth_mbps=link.bandwidth_mbps * noise,
-                latency_ms=link.latency_ms,
-                measured_at_s=now_s,
-            )
+        """Re-measure every defined link (one monitoring round).
+
+        Noise is one draw per link in sorted link order, the same stream
+        positions as drawing link by link.
+        """
+        table = self._topology.link_table()
+        bandwidth = table.bandwidth_mbps
+        if self._relative_error > 0:
+            bandwidth = bandwidth * self._noise(len(table.keys))
+        self._row = dict(table.index)
+        self._bandwidth = bandwidth.tolist()
+        self._latency = table.latency_ms.tolist()
+        self._measured_at = [now_s] * len(table.keys)
         self._last_refresh_s = now_s
 
     def remeasure(self, src: str, dst: str, now_s: float) -> float:
@@ -89,20 +93,21 @@ class WanMonitor:
         """
         if src == dst:
             return self._topology.bandwidth_mbps(src, dst)
-        noise = 1.0
-        if self._relative_error > 0:
-            noise = self._rng.uniform(
-                1.0 - self._relative_error, 1.0 + self._relative_error
-            )
-        sample = LinkMeasurement(
-            src=src,
-            dst=dst,
-            bandwidth_mbps=self._topology.bandwidth_mbps(src, dst) * noise,
-            latency_ms=self._topology.latency_ms(src, dst),
-            measured_at_s=now_s,
-        )
-        self._measurements[(src, dst)] = sample
-        return sample.bandwidth_mbps
+        noise = self._noise() if self._relative_error > 0 else 1.0
+        bandwidth = self._topology.bandwidth_mbps(src, dst) * noise
+        row = self._row.setdefault((src, dst), len(self._bandwidth))
+        if row == len(self._bandwidth):  # not in the last refresh
+            for column in (self._bandwidth, self._latency, self._measured_at):
+                column.append(0.0)
+        self._bandwidth[row] = bandwidth
+        self._latency[row] = self._topology.latency_ms(src, dst)
+        self._measured_at[row] = now_s
+        return bandwidth
+
+    def _noise(self, size: int | None = None) -> float | np.ndarray:
+        """Multiplicative measurement noise, uniform in [1-e, 1+e]."""
+        e = self._relative_error
+        return self._rng.uniform(1.0 - e, 1.0 + e, size=size)
 
     def bandwidth_mbps(self, src: str, dst: str) -> float:
         """Most recent bandwidth measurement for ``src -> dst``.
@@ -111,28 +116,24 @@ class WanMonitor:
         Falls back to a fresh ground-truth read if the link has never been
         measured (i.e. before the first monitoring round).
         """
-        if src == dst:
+        row = self._row.get((src, dst))
+        if row is None:
             return self._topology.bandwidth_mbps(src, dst)
-        sample = self._measurements.get((src, dst))
-        if sample is None:
-            return self._topology.bandwidth_mbps(src, dst)
-        return sample.bandwidth_mbps
+        return self._bandwidth[row]
 
     def latency_ms(self, src: str, dst: str) -> float:
         """Most recent latency measurement for ``src -> dst``."""
-        if src == dst:
+        row = self._row.get((src, dst))
+        if row is None:
             return self._topology.latency_ms(src, dst)
-        sample = self._measurements.get((src, dst))
-        if sample is None:
-            return self._topology.latency_ms(src, dst)
-        return sample.latency_ms
+        return self._latency[row]
 
     def measurement(self, src: str, dst: str) -> LinkMeasurement | None:
-        return self._measurements.get((src, dst))
+        row = self._row.get((src, dst))
+        return None if row is None else LinkMeasurement(
+            src, dst, self._bandwidth[row], self._latency[row], self._measured_at[row]
+        )
 
     def bandwidth_matrix(self) -> dict[tuple[str, str], float]:
         """Measured bandwidth for every known link."""
-        return {
-            key: sample.bandwidth_mbps
-            for key, sample in self._measurements.items()
-        }
+        return dict(zip(self._row, self._bandwidth))

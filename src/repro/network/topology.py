@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from ..errors import TopologyError, UnknownSiteError
 from .site import Site, SiteKind
 
@@ -33,6 +35,25 @@ class Link:
     dst: str
     bandwidth_mbps: float
     latency_ms: float
+
+
+class LinkTable:
+    """Every defined link as parallel arrays over the sorted ``(src, dst)`` keys.
+
+    ``bandwidth_mbps`` (current capacity, ``base * factor``, as of factors
+    ``version``) is replaced, never written into, when a factor changes, so
+    readers may hold it as a snapshot and detect change by identity.
+    """
+
+    __slots__ = ("keys", "index", "base_mbps", "latency_ms", "bandwidth_mbps", "version")
+
+    def __init__(self, base: dict, latency: dict) -> None:
+        self.keys: list[tuple[str, str]] = sorted(base)
+        self.index = {key: i for i, key in enumerate(self.keys)}
+        self.base_mbps = np.array([base[k] for k in self.keys], dtype=float)
+        self.latency_ms = np.array([latency[k] for k in self.keys], dtype=float)
+        self.bandwidth_mbps = self.base_mbps
+        self.version = -1
 
 
 class Topology:
@@ -58,8 +79,10 @@ class Topology:
         self._factors: dict[tuple[str, str], float] = {}
         self._global_factor = 1.0
         #: Monotonic counter bumped whenever a factor actually changes, so
-        #: vectorized consumers can cache derived link tables.
+        #: :meth:`link_table` recomputes current capacities only then.
         self._factors_version = 0
+        #: Built on first use and dropped when a link is (re)defined.
+        self._table: LinkTable | None = None
 
     # ------------------------------------------------------------------ #
     # Sites
@@ -126,6 +149,7 @@ class Topology:
             )
         self._base_bandwidth[(src, dst)] = float(bandwidth_mbps)
         self._base_latency[(src, dst)] = float(latency_ms)
+        self._table = None
 
     def bandwidth_mbps(self, src: str, dst: str) -> float:
         """Current capacity of the ``src -> dst`` link in Mbps."""
@@ -149,12 +173,24 @@ class Topology:
             raise TopologyError(f"no link defined from {src!r} to {dst!r}")
         return latency
 
+    def link_table(self) -> LinkTable:
+        """The cached :class:`LinkTable`, with current capacities."""
+        if self._table is None:
+            self._table = LinkTable(self._base_bandwidth, self._base_latency)
+        table = self._table
+        if table.version != self._factors_version:
+            factors = np.full(len(table.keys), self._global_factor)
+            for key, factor in self._factors.items():
+                factors[table.index[key]] = factor
+            table.bandwidth_mbps = table.base_mbps * factors
+            table.version = self._factors_version
+        return table
+
     def links(self) -> list[Link]:
         """All directed links with their *current* capacities."""
-        return [
-            Link(src, dst, self.bandwidth_mbps(src, dst), self.latency_ms(src, dst))
-            for (src, dst) in sorted(self._base_bandwidth)
-        ]
+        t = self.link_table()
+        rows = zip(t.keys, t.bandwidth_mbps.tolist(), t.latency_ms.tolist())
+        return [Link(*key, bw, lat) for key, bw, lat in rows]
 
     # ------------------------------------------------------------------ #
     # Dynamics
@@ -192,10 +228,5 @@ class Topology:
 
     def fully_connected(self) -> bool:
         """True if every ordered site pair has a defined link."""
-        names = self.site_names
-        return all(
-            (a, b) in self._base_bandwidth
-            for a in names
-            for b in names
-            if a != b
-        )
+        n = len(self._sites)
+        return len(self._base_bandwidth) == n * (n - 1)

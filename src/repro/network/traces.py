@@ -202,20 +202,14 @@ def network_distributions(topo: Topology) -> dict[str, np.ndarray]:
     class (edge connections "only consider data centers within the same
     region").
     """
-    edge_bw, edge_lat, dc_bw, dc_lat = [], [], [], []
-    for link in topo.links():
-        src_edge = topo.site(link.src).is_edge
-        dst_edge = topo.site(link.dst).is_edge
-        if not src_edge and not dst_edge:
-            dc_bw.append(link.bandwidth_mbps)
-            dc_lat.append(link.latency_ms)
-        elif link.latency_ms <= 150.0:
-            # Intra-region edge connections only, per the figure caption.
-            edge_bw.append(link.bandwidth_mbps)
-            edge_lat.append(link.latency_ms)
+    table = topo.link_table()
+    edge = {site.name for site in topo if site.is_edge}
+    dc = np.array([a not in edge and b not in edge for a, b in table.keys], bool)
+    # Intra-region edge connections only, per the figure caption.
+    intra = ~dc & (table.latency_ms <= 150.0)
     return {
-        "edge_bandwidth_mbps": np.array(edge_bw),
-        "edge_latency_ms": np.array(edge_lat),
-        "dc_bandwidth_mbps": np.array(dc_bw),
-        "dc_latency_ms": np.array(dc_lat),
+        "edge_bandwidth_mbps": table.bandwidth_mbps[intra],
+        "edge_latency_ms": table.latency_ms[intra],
+        "dc_bandwidth_mbps": table.bandwidth_mbps[dc],
+        "dc_latency_ms": table.latency_ms[dc],
     }

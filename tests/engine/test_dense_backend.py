@@ -19,6 +19,7 @@ for the reference per-parcel engine:
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -27,9 +28,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.dense import _DRAIN_EPS, DenseEngineRuntime, _pop_rows
-from repro.engine.runtime import EngineRuntime
+from repro.engine.runtime import EngineRuntime, mbps_to_eps
 from repro.fuzz.campaign import recorder_digest, run_scenario
 from repro.fuzz.generate import build_run, generate_scenario
+from repro.network.monitor import WanMonitor
+from tests.engine.test_runtime import build_pipeline
 
 #: Seeds chosen to cover quiet runs, adaptation-heavy runs (0, 7, 9) and
 #: drop-heavy overload runs where delay tolerance matters (2, 5).
@@ -119,6 +122,30 @@ def test_dense_passes_invariant_checker(seed: int) -> None:
         f"t={v.t_s} {v.invariant}: {v.detail}" for v in result.violations
     ]
     assert result.ticks > 0
+
+
+def test_link_redefined_between_ticks(small_topology) -> None:
+    """``Topology.set_link`` after the first tick: the dense link budgets
+    and the WAN monitor's next refresh must both see the new capacity."""
+    flow_eps = mbps_to_eps(10.0, 100.0)
+    key = ("src", "agg", "edge-x", "dc-1")
+    sent = {}
+    for runtime_cls in (EngineRuntime, DenseEngineRuntime):
+        topology = copy.deepcopy(small_topology)
+        runtime = build_pipeline(
+            topology, rate=flow_eps * 4, runtime_cls=runtime_cls
+        )
+        monitor = WanMonitor(topology, np.random.default_rng(0))
+        sent[runtime_cls] = [runtime.tick().net_sent[key] for _ in range(5)]
+        monitor.refresh(5.0)
+        topology.set_link("edge-x", "dc-1", 20.0, 50.0)
+        sent[runtime_cls] += [runtime.tick().net_sent[key] for _ in range(5)]
+        assert monitor.bandwidth_mbps("edge-x", "dc-1") == 10.0
+        monitor.refresh(10.0)
+        assert monitor.bandwidth_mbps("edge-x", "dc-1") == 20.0
+    assert sent[EngineRuntime] == sent[DenseEngineRuntime]
+    assert sent[DenseEngineRuntime][4] == pytest.approx(flow_eps)
+    assert sent[DenseEngineRuntime][5] == pytest.approx(2 * flow_eps)
 
 
 # --------------------------------------------------------------------------- #

@@ -27,7 +27,7 @@ class ConstantWorkload(WorkloadModel):
 
 def build_pipeline(topology, *, rate=1000.0, selectivity=0.5,
                    agg_site="dc-1", event_bytes=100.0, degrade_slo=None,
-                   agg_cost=1.0):
+                   agg_cost=1.0, runtime_cls=EngineRuntime):
     """source(edge-x)+filter -> agg(dc-1) -> sink(dc-1)."""
     ops = [
         source("src", "edge-x", event_bytes=200.0),
@@ -43,7 +43,7 @@ def build_pipeline(topology, *, rate=1000.0, selectivity=0.5,
     physical.stage("src").add_task("edge-x")
     physical.stage("agg").add_task(agg_site)
     physical.stage("out").add_task(agg_site)
-    runtime = EngineRuntime(
+    runtime = runtime_cls(
         topology,
         physical,
         ConstantWorkload({"src": rate}),

@@ -127,3 +127,48 @@ class TestDynamics:
         topo.set_bandwidth_factor("a", "b", 0.25)
         assert topo.bandwidth_factor("a", "b") == 0.25
         assert topo.bandwidth_factor("b", "a") == 1.0
+
+
+class TestLinkTable:
+    def test_rows_follow_sorted_keys(self, topo):
+        table = topo.link_table()
+        assert table.keys == [("a", "b"), ("b", "a")]
+        assert table.index == {("a", "b"): 0, ("b", "a"): 1}
+        assert table.latency_ms.tolist() == [50.0, 50.0]
+
+    def test_current_bandwidth_matches_scalar_reads(self, testbed):
+        testbed.set_global_bandwidth_factor(0.7)
+        src, dst = testbed.link_table().keys[3]
+        testbed.set_bandwidth_factor(src, dst, 0.3)
+        table = testbed.link_table()
+        assert table.bandwidth_mbps.tolist() == [
+            testbed.bandwidth_mbps(s, d) for s, d in table.keys
+        ]
+        assert [
+            (l.src, l.dst, l.bandwidth_mbps, l.latency_ms)
+            for l in testbed.links()
+        ] == [
+            (s, d, testbed.bandwidth_mbps(s, d), testbed.latency_ms(s, d))
+            for s, d in table.keys
+        ]
+
+    def test_cached_until_a_factor_changes(self, topo):
+        snapshot = topo.link_table().bandwidth_mbps
+        assert topo.link_table().bandwidth_mbps is snapshot
+        topo.set_global_bandwidth_factor(1.0)  # no change, no recompute
+        assert topo.link_table().bandwidth_mbps is snapshot
+        topo.set_bandwidth_factor("a", "b", 0.5)
+        assert topo.link_table().bandwidth_mbps.tolist() == [5.0, 20.0]
+        assert snapshot.tolist() == [10.0, 20.0]  # never written in place
+
+    def test_set_link_invalidates_the_table(self, topo):
+        """Redefining a link after the table was built must not leave its
+        old base capacity or latency in the table."""
+        topo.set_global_bandwidth_factor(0.5)
+        before = topo.link_table()
+        topo.set_link("a", "b", 40.0, 10.0)
+        after = topo.link_table()
+        assert after is not before
+        assert after.base_mbps.tolist() == [40.0, 20.0]
+        assert after.bandwidth_mbps.tolist() == [20.0, 10.0]
+        assert after.latency_ms.tolist() == [10.0, 50.0]
