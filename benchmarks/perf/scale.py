@@ -1,11 +1,10 @@
-"""Topology-scale benchmark sweep: reference vs dense engine backend.
+"""Topology-scale benchmark sweep of the engine runtime.
 
 Builds an all-to-all shuffle world (one source per site fanning into a
 globally partitioned aggregation) at increasing site counts and measures
-steady-state ticks/s for both engine backends.  The shuffle regime is the
-honest scale case for a WAN stream processor: with ``n`` sites the world
-carries ``n * (n - 1)`` active flows, so per-flow work dominates and the
-dense backend's fused array kernels are exercised where they matter.
+steady-state engine ticks/s.  The shuffle regime is the honest scale case
+for a WAN stream processor: with ``n`` sites the world carries
+``n * (n - 1)`` active flows, so per-flow work dominates.
 
 Usage (from the repo root)::
 
@@ -28,12 +27,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.config import WaspConfig
 from repro.engine import operators as ops
-from repro.engine.dense import create_runtime
 from repro.engine.logical import LogicalPlan
 from repro.engine.physical import PhysicalPlan
-from repro.engine.runtime import WorkloadModel
+from repro.engine.runtime import EngineRuntime, WorkloadModel
 from repro.network.site import Site, SiteKind
 from repro.network.topology import Topology
 
@@ -121,17 +118,15 @@ def build_world(
 
 
 def run_point(
-    backend: str,
     n_sites: int,
     parallelism: int,
     warmup: int,
     measure: int,
     seed: int = SCALE_SEED,
 ) -> dict:
-    """Time ``measure`` steady-state ticks of one backend at one size."""
+    """Time ``measure`` steady-state engine ticks at one size."""
     topo, plan, workload = build_world(n_sites, parallelism, seed)
-    config = WaspConfig.paper_defaults().with_overrides(engine_backend=backend)
-    runtime = create_runtime(topo, plan, workload, config)
+    runtime = EngineRuntime(topo, plan, workload)
     for _ in range(warmup):
         runtime.tick()
     t0 = time.perf_counter()
@@ -139,13 +134,12 @@ def run_point(
         runtime.tick()
     wall = time.perf_counter() - t0
     return {
-        "backend": backend,
         "sites": n_sites,
         "parallelism": parallelism,
         "ticks": measure,
         "wall_s": wall,
         "ticks_per_s": measure / wall if wall > 0 else float("inf"),
-        # Sanity fingerprints: both backends must agree on these.
+        # Fingerprints of the simulated state: fixed for a fixed world.
         "total_backlog": float(runtime.total_backlog()),
         "sink_events": float(runtime.last_report.sink_events),
     }
@@ -167,25 +161,13 @@ def run_sweep(
             else _SHORT_MEASURE
         )
         for p in parallelisms:
-            pair = {}
-            for backend in ("reference", "dense"):
-                res = run_point(backend, n, p, warmup, measure, seed)
-                pair[backend] = res
-                points.append(res)
-                if verbose:
-                    print(
-                        f"  sites={n:4d} p={p} {backend:9s}: "
-                        f"{res['ticks_per_s']:9.1f} ticks/s "
-                        f"(backlog={res['total_backlog']:.3f})",
-                        file=sys.stderr,
-                    )
-            speedup = (
-                pair["dense"]["ticks_per_s"] / pair["reference"]["ticks_per_s"]
-            )
-            pair["dense"]["speedup_vs_reference"] = speedup
+            res = run_point(n, p, warmup, measure, seed)
+            points.append(res)
             if verbose:
                 print(
-                    f"  sites={n:4d} p={p} speedup  : {speedup:.2f}x",
+                    f"  sites={n:4d} p={p}: "
+                    f"{res['ticks_per_s']:9.1f} ticks/s "
+                    f"(backlog={res['total_backlog']:.3f})",
                     file=sys.stderr,
                 )
     return points
@@ -207,7 +189,7 @@ def _git_commit() -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m benchmarks.perf.scale",
-        description="topology-scale sweep: reference vs dense backend",
+        description="topology-scale sweep of the engine runtime",
     )
     parser.add_argument(
         "--sizes",
@@ -252,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
 
     points = run_sweep(sizes, parallelisms, warmup, measure_by_size, args.seed)
     report = {
-        "schema": "wasp-scale-bench/v1",
+        "schema": "wasp-scale-bench/v2",
         "commit": _git_commit(),
         "python": platform.python_version(),
         "numpy": np.__version__,

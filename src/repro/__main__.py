@@ -93,13 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--duration", type=float, default=900.0)
     run_p.add_argument("--seed", type=int, default=42)
     run_p.add_argument(
-        "--backend",
-        choices=("reference", "dense"),
-        default="reference",
-        help="engine backend: per-parcel reference loops or the "
-        "numpy structure-of-arrays kernel",
-    )
-    run_p.add_argument(
         "--profile",
         action="store_true",
         help="profile each variant with cProfile and print the hot spots",
@@ -128,12 +121,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fig_p = sub.add_parser("figures", help="regenerate a paper figure/table")
     fig_p.add_argument("which", choices=FIGURES)
     fig_p.add_argument("--seed", type=int, default=42)
-    fig_p.add_argument(
-        "--backend",
-        choices=("reference", "dense"),
-        default="reference",
-        help="engine backend for figures that run variants (fig8-fig12)",
-    )
     fig_p.add_argument(
         "--trace-out",
         default=None,
@@ -175,13 +162,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fuzz_p.add_argument(
         "--replay", default=None, metavar="FILE",
         help="replay a repro artifact instead of running a campaign",
-    )
-    fuzz_p.add_argument(
-        "--backend",
-        choices=("reference", "dense"),
-        default=None,
-        help="force every scenario onto one engine backend (default: "
-        "each scenario's own configuration)",
     )
 
     sub.add_parser("list", help="list queries, variants, dynamics, figures")
@@ -250,23 +230,17 @@ def _variant_path(path: str, variant_name: str, multi: bool) -> str:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from .config import WaspConfig
-
     variants = _resolve_variants(args.variant)
     multi = len(variants) > 1
-    config = WaspConfig.paper_defaults().with_overrides(
-        engine_backend=args.backend
-    )
     print(
         f"query={args.query} dynamics={args.dynamics} "
-        f"duration={args.duration:.0f}s seed={args.seed} "
-        f"backend={args.backend}"
+        f"duration={args.duration:.0f}s seed={args.seed}"
     )
     for variant in variants:
         rngs = RngRegistry(args.seed)
         topology = paper_testbed(rngs.stream("topology"))
         query = make_query_by_name(args.query)(topology, rngs)
-        run = ExperimentRun(topology, query, variant, config=config, rngs=rngs)
+        run = ExperimentRun(topology, query, variant, rngs=rngs)
         if args.trace_out:
             trace_path = _variant_path(args.trace_out, variant.name, multi)
             run.attach_trace(trace_path)
@@ -311,13 +285,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _figures_runs(
-    which: str,
-    seed: int,
-    trace_out: str | None = None,
-    backend: str = "reference",
-):
-    from .config import WaspConfig
+def _figures_runs(which: str, seed: int, trace_out: str | None = None):
     from .experiments.harness import run_variants
 
     if which in ("fig8", "fig9"):
@@ -339,9 +307,6 @@ def _figures_runs(
         list(scenario.variants),
         scenario.duration_s,
         scenario.make_dynamics,
-        config=WaspConfig.paper_defaults().with_overrides(
-            engine_backend=backend
-        ),
         seed=seed,
         instrument=instrument,
     )
@@ -350,14 +315,6 @@ def _figures_runs(
 def cmd_figures(args: argparse.Namespace) -> int:
     which, seed = args.which, args.seed
     trace_out = getattr(args, "trace_out", None)
-    backend = getattr(args, "backend", "reference")
-    if backend != "reference" and which not in (
-        "fig8", "fig9", "fig10", "fig11", "fig12"
-    ):
-        print(
-            f"note: --backend ignored for {which} (no variant runs)",
-            file=sys.stderr,
-        )
     if trace_out and which not in ("fig8", "fig9", "fig10", "fig11", "fig12"):
         print(
             f"note: --trace-out ignored for {which} (no variant runs)",
@@ -368,23 +325,17 @@ def cmd_figures(args: argparse.Namespace) -> int:
     elif which == "fig7":
         print(fig.fig7_report(paper_testbed(np.random.default_rng(seed))))
     elif which == "fig8":
-        print(
-            fig.fig8_report(
-                _figures_runs(which, seed, trace_out, backend), "topk-topics"
-            )
-        )
+        runs = _figures_runs(which, seed, trace_out)
+        print(fig.fig8_report(runs, "topk-topics"))
     elif which == "fig9":
-        print(
-            fig.fig9_report(
-                _figures_runs(which, seed, trace_out, backend), "topk-topics"
-            )
-        )
+        runs = _figures_runs(which, seed, trace_out)
+        print(fig.fig9_report(runs, "topk-topics"))
     elif which == "fig10":
-        print(fig.fig10_report(_figures_runs(which, seed, trace_out, backend)))
+        print(fig.fig10_report(_figures_runs(which, seed, trace_out)))
     elif which == "fig11":
-        print(fig.fig11_report(_figures_runs(which, seed, trace_out, backend)))
+        print(fig.fig11_report(_figures_runs(which, seed, trace_out)))
     elif which == "fig12":
-        print(fig.fig12_report(_figures_runs(which, seed, trace_out, backend)))
+        print(fig.fig12_report(_figures_runs(which, seed, trace_out)))
     elif which == "fig13":
         breakdowns = []
         for variant in migration_variants():
@@ -450,16 +401,6 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
     if args.replay:
         spec, payload = load_artifact(args.replay)
-        if args.backend:
-            import dataclasses
-
-            spec = dataclasses.replace(
-                spec,
-                config_overrides={
-                    **spec.config_overrides,
-                    "engine_backend": args.backend,
-                },
-            )
         print(
             f"replaying {args.replay}: seed={spec.seed} "
             f"pinned-invariant={payload.get('invariant')}"
@@ -475,15 +416,11 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         return 1
 
     report = run_campaign(
-        args.seeds,
-        base_seed=args.base_seed,
-        jobs=args.jobs,
-        backend=args.backend,
+        args.seeds, base_seed=args.base_seed, jobs=args.jobs
     )
-    backend_note = f", backend={args.backend}" if args.backend else ""
     print(
         f"campaign: {args.seeds} seeds (base {args.base_seed}), "
-        f"{args.jobs} job(s){backend_note}"
+        f"{args.jobs} job(s)"
     )
     print(f"  ticks checked : {sum(r.ticks for r in report.results)}")
     totals = report.totals()

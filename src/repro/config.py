@@ -75,16 +75,6 @@ class WaspConfig:
     #: Simulated-time penalty added to the transition per retry attempt
     #: (bounded backoff: attempt k pays k * backoff on top of the transfer).
     adaptation_retry_backoff_s: float = 5.0
-    #: Engine backend: "reference" executes the per-parcel FluidQueue loops
-    #: in :mod:`repro.engine.runtime`; "dense" runs the numpy
-    #: structure-of-arrays kernel in :mod:`repro.engine.dense`, converting
-    #: to/from the reference representation only at adaptation boundaries.
-    engine_backend: str = "reference"
-    #: Age resolution of the dense backend's bucketed queues: each queue
-    #: keeps this many tick-wide age buckets; events older than the window
-    #: collapse into the last bucket (their exact mean generation time is
-    #: preserved, so delay metrics stay exact).
-    dense_age_buckets: int = 16
     seed: int = 20201207  # Middleware '20 started December 7, 2020.
 
     def __post_init__(self) -> None:
@@ -151,15 +141,6 @@ class WaspConfig:
             raise ConfigurationError(
                 "adaptation_retry_backoff_s must be >= 0, got "
                 f"{self.adaptation_retry_backoff_s}"
-            )
-        if self.engine_backend not in ("reference", "dense"):
-            raise ConfigurationError(
-                "engine_backend must be 'reference' or 'dense', got "
-                f"{self.engine_backend!r}"
-            )
-        if self.dense_age_buckets < 4:
-            raise ConfigurationError(
-                f"dense_age_buckets must be >= 4, got {self.dense_age_buckets}"
             )
 
     @classmethod

@@ -6,7 +6,6 @@ from .backpressure import (
     steady_state_rates,
 )
 from .checkpoint import CheckpointCoordinator, CheckpointRecord
-from .dense import DenseEngineRuntime, create_runtime
 from .logical import LogicalPlan, can_replace_preserving_state
 from .metrics import GlobalMetricMonitor, MetricsWindow, StageMetrics
 from .operators import OperatorKind, OperatorSpec
@@ -21,7 +20,6 @@ __all__ = [
     "bottleneck_stages",
     "steady_state_rates",
     "CheckpointRecord",
-    "DenseEngineRuntime",
     "EngineRuntime",
     "FluidQueue",
     "GlobalMetricMonitor",
@@ -39,5 +37,4 @@ __all__ = [
     "TickReport",
     "WorkloadModel",
     "can_replace_preserving_state",
-    "create_runtime",
 ]

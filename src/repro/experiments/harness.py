@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 from ..baselines.variants import VariantSpec
 from ..config import WaspConfig
@@ -23,7 +23,7 @@ from ..core.controller import ReconfigurationManager
 from ..core.longterm import LongTermPlanner, OracleForecaster
 from ..core.replanning import Replanner
 from ..engine.checkpoint import CheckpointCoordinator
-from ..engine.dense import create_runtime
+from ..engine.runtime import EngineRuntime
 from ..engine.state import StateStore
 from ..errors import ConfigurationError, InfeasiblePlacementError
 from ..network.monitor import WanMonitor
@@ -95,6 +95,24 @@ class DynamicsSpec:
     stragglers: list[StragglerEvent] = field(default_factory=list)
 
 
+def _adaptation_round(
+    manager: ReconfigurationManager,
+    state_store: StateStore,
+    state_mb_override: dict[str, float],
+) -> Callable[[float], None]:
+    """The periodic adaptation callback of one run."""
+
+    def adaptation_round(now_s: float) -> None:
+        manager.adaptation_round(now_s)
+        # Controlled-state experiments keep the stage state pinned to the
+        # override even as partitions move/split.
+        for stage_name, total in state_mb_override.items():
+            if state_store.sites(stage_name):
+                state_store.set_total_mb(stage_name, total)
+
+    return adaptation_round
+
+
 class ExperimentRun:
     """A fully-wired single run (one variant, one query, one dynamics)."""
 
@@ -152,16 +170,16 @@ class ExperimentRun:
         self.scheduler.deploy(estimate.physical, estimate.assignments)
 
         self.state_store = StateStore()
+        state_mb_override = dict(state_mb_override or {})
         for stage in estimate.physical.topological_stages():
             if stage.stateful:
-                override = (state_mb_override or {}).get(stage.name)
+                override = state_mb_override.get(stage.name)
                 total = override if override is not None else stage.state_mb
                 self.state_store.initialize_stage(
                     stage.name, total, [t.site for t in stage.tasks]
                 )
-        self._state_mb_override = dict(state_mb_override or {})
 
-        self.runtime = create_runtime(
+        self.runtime = EngineRuntime(
             topology,
             estimate.physical,
             query.workload,
@@ -196,21 +214,26 @@ class ExperimentRun:
             )
 
         self.clock = SimClock(self.config.tick_s)
-        # Skip-sites comes from the topology's live failed flags, not the
-        # harness's scripted-failure set: chaos-injected crashes must also
-        # be excluded from a checkpoint round.
+        # The periodic callbacks close over the components they drive, not
+        # over ``self``: a finished run is then no reference cycle and is
+        # freed as soon as its last reference goes.  Skip-sites comes from
+        # the topology's live failed flags, not the harness's
+        # scripted-failure set: chaos-injected crashes must also be
+        # excluded from a checkpoint round.
+        checkpoints = self.checkpoints
         self.clock.every(
             self.config.checkpoint_interval_s,
-            lambda now: self.checkpoints.checkpoint_all(
-                now,
-                skip_sites={s.name for s in self.topology if s.failed},
+            lambda now: checkpoints.checkpoint_all(
+                now, skip_sites={s.name for s in topology if s.failed}
             ),
             name="checkpoints",
         )
         if self.manager is not None:
             self.clock.every(
                 self.config.monitor_interval_s,
-                self._adaptation_round,
+                _adaptation_round(
+                    self.manager, self.state_store, state_mb_override
+                ),
                 name="adaptation",
             )
         self.long_term: LongTermPlanner | None = None
@@ -252,15 +275,6 @@ class ExperimentRun:
             name: workload.generation_eps(name, t_s)
             for name in workload.source_names
         }
-
-    def _adaptation_round(self, now_s: float) -> None:
-        assert self.manager is not None
-        self.manager.adaptation_round(now_s)
-        # Controlled-state experiments keep the stage state pinned to the
-        # override even as partitions move/split.
-        for stage_name, total in self._state_mb_override.items():
-            if self.state_store.sites(stage_name):
-                self.state_store.set_total_mb(stage_name, total)
 
     # ------------------------------------------------------------------ #
     # Observability

@@ -20,7 +20,6 @@ pins the minimized spec plus its violations as a replayable JSON repro
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
 import json
 import multiprocessing
@@ -214,24 +213,14 @@ class CampaignReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def _run_seed(seed: int, backend: str | None = None) -> ScenarioResult:
+def _run_seed(seed: int) -> ScenarioResult:
     """Worker entry point: regenerate the scenario from its seed and run.
 
     Module-level (picklable) and shared-nothing; even scenario
-    *generation* crashes are folded into the result.  ``backend``
-    overrides the scenario's engine backend (the override merges into
-    ``config_overrides``, so replays and digests see the same config).
+    *generation* crashes are folded into the result.
     """
     try:
         spec = generate_scenario(seed)
-        if backend is not None:
-            spec = dataclasses.replace(
-                spec,
-                config_overrides={
-                    **spec.config_overrides,
-                    "engine_backend": backend,
-                },
-            )
     except Exception as exc:  # noqa: BLE001 - fuzzing oracle
         return ScenarioResult(
             seed=seed,
@@ -252,27 +241,22 @@ def run_campaign(
     *,
     base_seed: int = 0,
     jobs: int = 1,
-    backend: str | None = None,
 ) -> CampaignReport:
     """Run ``num_seeds`` scenarios (seeds ``base_seed..base_seed+N-1``).
 
     ``jobs > 1`` fans out over a process pool; the merged report is
     sorted by seed, so it is independent of worker count and scheduling.
-    ``backend`` forces every scenario onto one engine backend
-    (``"reference"`` or ``"dense"``); ``None`` keeps each scenario's own
-    configuration.
     """
     if num_seeds < 1:
         raise ConfigurationError("num_seeds must be >= 1")
     if jobs < 1:
         raise ConfigurationError("jobs must be >= 1")
     seeds = [base_seed + i for i in range(num_seeds)]
-    worker = functools.partial(_run_seed, backend=backend)
     if jobs == 1 or num_seeds == 1:
-        results = [worker(seed) for seed in seeds]
+        results = [_run_seed(seed) for seed in seeds]
     else:
         with multiprocessing.Pool(min(jobs, num_seeds)) as pool:
-            results = pool.map(worker, seeds, chunksize=1)
+            results = pool.map(_run_seed, seeds, chunksize=1)
     results.sort(key=lambda r: r.seed)
     return CampaignReport(
         base_seed=base_seed, num_seeds=num_seeds, results=results

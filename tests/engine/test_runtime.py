@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.config import WaspConfig
@@ -14,6 +15,7 @@ from repro.engine.operators import (
 )
 from repro.engine.physical import PhysicalPlan
 from repro.engine.runtime import EngineRuntime, WorkloadModel, mbps_to_eps
+from repro.network.monitor import WanMonitor
 
 
 class ConstantWorkload(WorkloadModel):
@@ -27,7 +29,7 @@ class ConstantWorkload(WorkloadModel):
 
 def build_pipeline(topology, *, rate=1000.0, selectivity=0.5,
                    agg_site="dc-1", event_bytes=100.0, degrade_slo=None,
-                   agg_cost=1.0, runtime_cls=EngineRuntime):
+                   agg_cost=1.0):
     """source(edge-x)+filter -> agg(dc-1) -> sink(dc-1)."""
     ops = [
         source("src", "edge-x", event_bytes=200.0),
@@ -43,7 +45,7 @@ def build_pipeline(topology, *, rate=1000.0, selectivity=0.5,
     physical.stage("src").add_task("edge-x")
     physical.stage("agg").add_task(agg_site)
     physical.stage("out").add_task(agg_site)
-    runtime = runtime_cls(
+    runtime = EngineRuntime(
         topology,
         physical,
         ConstantWorkload({"src": rate}),
@@ -133,6 +135,24 @@ class TestNetworkBottleneck:
         for _ in range(10):
             report = runtime.tick()
         assert not report.net_backlog
+
+    def test_link_redefined_between_ticks(self, small_topology):
+        """``Topology.set_link`` after the first ticks: the engine sends at
+        the new capacity from the next tick on, while the WAN monitor sees
+        it only at its next refresh."""
+        flow_eps = mbps_to_eps(10.0, 100.0)
+        runtime = build_pipeline(small_topology, rate=flow_eps * 4)
+        monitor = WanMonitor(small_topology, np.random.default_rng(0))
+        key = ("src", "agg", "edge-x", "dc-1")
+        sent = [runtime.tick().net_sent[key] for _ in range(5)]
+        monitor.refresh(5.0)
+        small_topology.set_link("edge-x", "dc-1", 20.0, 50.0)
+        sent += [runtime.tick().net_sent[key] for _ in range(5)]
+        assert monitor.bandwidth_mbps("edge-x", "dc-1") == 10.0
+        monitor.refresh(10.0)
+        assert monitor.bandwidth_mbps("edge-x", "dc-1") == 20.0
+        assert sent[4] == pytest.approx(flow_eps)
+        assert sent[5] == pytest.approx(2 * flow_eps)
 
 
 class TestDegrade:

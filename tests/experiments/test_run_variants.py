@@ -1,10 +1,14 @@
 """Tests for run_variants - isolated, comparable multi-variant sweeps."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from repro.baselines.variants import no_adapt, wasp
 from repro.experiments.harness import DynamicsSpec, run_variants
+from repro.experiments.scenarios import fig8_scenario
 from repro.network.traces import paper_testbed
 from repro.sim.schedule import Schedule
 from repro.workloads.queries import ysb_advertising
@@ -73,3 +77,24 @@ class TestIsolation:
         }
         values = list(offered.values())
         assert values[0] == pytest.approx(values[1])
+
+
+class TestLifetime:
+    def test_finished_run_is_freed_without_the_cyclic_gc(self):
+        """A finished run holds no reference cycle: dropping the results
+        frees the run, its manager and its runtime by reference counting
+        alone, so a sweep's memory does not wait for the cyclic GC."""
+        scenario = fig8_scenario("topk-topics")
+        gc.disable()
+        try:
+            results = run_variants(
+                scenario.make_topology, scenario.make_query, [wasp()], 60,
+                scenario.make_dynamics,
+            )
+            run = results["WASP"]
+            assert run.manager is not None
+            refs = [weakref.ref(o) for o in (run, run.manager, run.runtime)]
+            del run, results
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            gc.enable()
