@@ -7,8 +7,9 @@ Usage (from the repo root)::
         --baseline BENCH_engine.json --out BENCH_engine.json
 
 ``--baseline`` points at an earlier emission (or a raw results file); its
-numbers are carried into the output's ``baseline`` block and per-benchmark
-speedups are computed against them.  Without ``--out`` the JSON goes to
+newest numbers are carried into the output's ``baseline`` block and
+per-benchmark speedups are computed against them.  ``--check`` compares a
+fresh run against the newest block of the committed file.  Without ``--out`` the JSON goes to
 stdout only.
 """
 
@@ -38,13 +39,19 @@ def _git_commit() -> str:
 
 
 def _load_baseline(path: Path) -> dict | None:
-    """Extract a ``{bench name: result dict}`` block from a prior emission."""
+    """Extract a ``{bench name: result dict}`` block from a prior emission.
+
+    The newest block wins: an emission's ``current`` numbers, not the older
+    ``baseline`` it carried along, so ``--check`` gates against the latest
+    committed measurement and a regeneration keeps the old ``current`` as
+    its ``baseline``.
+    """
     try:
         data = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         print(f"warning: cannot read baseline {path}: {exc}", file=sys.stderr)
         return None
-    for key in ("baseline", "current"):
+    for key in ("current", "baseline"):
         block = data.get(key)
         if isinstance(block, dict) and "results" in block:
             return block

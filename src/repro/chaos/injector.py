@@ -89,7 +89,6 @@ class ChaosInjector:
     _rules: list[_Rule] = field(default_factory=list)
     _active: list[_Activation] = field(default_factory=list)
     _target: ChaosTarget | None = None
-    _manager: "ReconfigurationManager | None" = None
 
     # ------------------------------------------------------------------ #
     # Spec building (chainable)
@@ -199,7 +198,6 @@ class ChaosInjector:
                     "at_point rules need a ReconfigurationManager to hook"
                 )
         self._target = target
-        self._manager = manager
         if manager is not None and any(r.point is not None for r in self._rules):
             previous = manager.adaptation_hook
 

@@ -50,7 +50,7 @@ from ..obs.events import (
     Verify,
     WindowSnapshot,
 )
-from ..planner.scheduler import AssignmentDiff, Scheduler
+from ..planner.scheduler import Scheduler
 from ..sim.recorder import RunRecorder
 from .actions import (
     Action,
@@ -421,7 +421,11 @@ class ReconfigurationManager:
                             action=attempt.action.kind.value,
                         )
                     )
-                record = self._apply_action(attempt.action, now_s)
+                record = (
+                    self._execute_replan(attempt.action, now_s)
+                    if isinstance(attempt.action, ReplanAction)
+                    else self._reconfigure(attempt.action, now_s)
+                )
                 if obs:
                     obs.emit(
                         Apply(
@@ -486,19 +490,6 @@ class ReconfigurationManager:
             "every technique in the fallback chain rolled back",
         )
         return None
-
-    def _apply_action(self, action: Action, now_s: float) -> AdaptationRecord:
-        if isinstance(action, ReassignAction):
-            return self._execute_reassign(action, now_s)
-        if isinstance(action, ScaleAction):
-            return self._execute_scale(action, now_s)
-        if isinstance(action, ScaleDownAction):
-            return self._execute_scale_down(action, now_s)
-        assert isinstance(action, ReplanAction)
-        return self._execute_replan(action, now_s)
-
-    def _stage(self, name: str) -> Stage:
-        return self.runtime.plan.stage(name)
 
     # ------------------------------------------------------------------ #
     # Transaction lifecycle: validate / verify / fallback chain
@@ -775,122 +766,141 @@ class ReconfigurationManager:
             new_assignment=assignment,
         )
 
-    def _execute_reassign(
-        self, action: ReassignAction, now_s: float
+    def _reconfigure(
+        self,
+        action: ReassignAction | ScaleAction | ScaleDownAction,
+        now_s: float,
     ) -> AdaptationRecord:
-        stage = self._stage(action.stage)
-        moved_out = {
-            site: self.state_store.mb_at_site(stage.name, site)
-            for site, count in stage.placement().items()
-            if action.new_assignment.get(site, 0) < count
-        }
-        diff = self.scheduler.apply_assignment(stage, action.new_assignment)
-        migration = self._migrate_for_diff(stage, moved_out, diff)
-        if migration.transfers:
-            self._notify_point(
-                AdaptationPoint.MIGRATION_IN_FLIGHT, stage.name, now_s
-            )
-        transition = (
-            self.config.reconfig_base_overhead_s
-            + migration.transition_s
-            + self._extra_transition_s
-        )
-        self.runtime.suspend_stage(stage.name, now_s + transition)
-        self._notify_point(
-            AdaptationPoint.BETWEEN_SUSPEND_RESUME, stage.name, now_s
-        )
-        self._apply_migration_side_effects(stage, migration)
-        self._rehome_orphans(stage, diff)
-        return AdaptationRecord(
-            t_s=now_s,
-            kind=ActionKind.REASSIGN,
-            stage=stage.name,
-            reason=action.reason,
-            transition_s=transition,
-            migration=migration,
-        )
+        """Re-assign (Section 4.1), scale or scale down (Section 4.2) a stage.
 
-    def _execute_scale(
-        self, action: ScaleAction, now_s: float
-    ) -> AdaptationRecord:
-        stage = self._stage(action.stage)
-        before_state = {
+        One reconfiguration - a new task assignment plus one state plan -
+        in one fixed order for every kind: a fault fired at an adaptation
+        point only writes environment facts, which no later step reads.
+        The kinds differ only in the explicit conditions below; scale-down
+        is an optimization, so it pays no base overhead, fires no
+        adaptation point, suspends only for a positive transfer time,
+        relays its queue over the WAN and keeps abandoned state stored.
+        """
+        stage = self.runtime.plan.stage(action.stage)
+        scale_down = isinstance(action, ScaleDownAction)
+        # 1. The old per-site state layout.
+        old_mb = {
             site: self.state_store.mb_at_site(stage.name, site)
             for site in stage.placement()
         }
-        diff = self.scheduler.apply_assignment(stage, action.new_assignment)
+        # 2. The assignment diff, and the best-connected survivor of every
+        #    site the stage vacates.
+        if scale_down:
+            diff = self.scheduler.remove_task(stage, action.site)
+        else:
+            diff = self.scheduler.apply_assignment(
+                stage, action.new_assignment
+            )
+        placement = stage.placement()
+        survivors = sorted(placement)
+        bandwidth = self.wan_monitor.bandwidth_mbps
+        vacated = {
+            site: max(survivors, key=lambda s, v=site: bandwidth(v, s))
+            for site in sorted(diff.removed)
+            if site not in placement
+        }
+        # 3. One state plan.
+        strategy = self._current_strategy()
         migration: MigrationPlan | None = None
-        transition = (
-            self.config.reconfig_base_overhead_s + self._extra_transition_s
-        )
-        if stage.stateful and self.state_store.total_mb(stage.name) > 0:
-            migration = self._rebalance_state(stage, before_state)
-            if migration.transfers:
+        if isinstance(action, ScaleAction):
+            total_mb = self.state_store.total_mb(stage.name)
+            if stage.stateful and total_mb > 0:
+                # State partitioning (Section 8.7.2): |state| / p' per task.
+                # It always ships the state: abandoning it here would
+                # silently turn a stateful scale into data loss.
+                share_mb = total_mb / max(1, sum(placement.values()))
+                migration = rebalance_transfers(
+                    stage.name,
+                    old_mb,
+                    {site: share_mb * n for site, n in placement.items()},
+                    self.migration_bandwidth,
+                    strategy=(
+                        MigrationStrategy.WASP
+                        if strategy is MigrationStrategy.NONE
+                        else strategy
+                    ),
+                    rng=self._rng,
+                )
+        elif scale_down:
+            partition_mb = old_mb[action.site]
+            if stage.stateful and partition_mb > 0 and action.site in vacated:
+                migration = plan_migration(
+                    stage.name,
+                    {action.site: partition_mb},
+                    [vacated[action.site]],
+                    self.migration_bandwidth,
+                    strategy=strategy,
+                    rng=self._rng,
+                )
+        else:
+            migration = plan_migration(
+                stage.name,
+                {site: old_mb[site] for site in diff.removed},
+                [site for site, n in diff.added.items() for _ in range(n)],
+                self.migration_bandwidth,
+                strategy=strategy,
+                rng=self._rng,
+            )
+        # 4. Suspend the stage for the transition.
+        transition = migration.transition_s if migration is not None else 0.0
+        if scale_down:
+            if transition > 0:
+                self.runtime.suspend_stage(stage.name, now_s + transition)
+        else:
+            if migration is not None and migration.transfers:
                 self._notify_point(
                     AdaptationPoint.MIGRATION_IN_FLIGHT, stage.name, now_s
                 )
-            transition += migration.transition_s
-        elif stage.stateful:
+            transition = (
+                self.config.reconfig_base_overhead_s
+                + transition
+                + self._extra_transition_s
+            )
+            self.runtime.suspend_stage(stage.name, now_s + transition)
+            self._notify_point(
+                AdaptationPoint.BETWEEN_SUSPEND_RESUME, stage.name, now_s
+            )
+        # 5. Checkpoint records and the state store.
+        abandoned_mb = 0.0
+        if migration is not None:
+            if isinstance(action, ReassignAction):
+                for transfer in migration.transfers:
+                    self.checkpoints.forget_site(
+                        stage.name, transfer.from_site
+                    )
+            abandoned_mb = migration.state_abandoned_mb
+            self.state_lost_mb += abandoned_mb
+        if stage.stateful:
             task_sites = [t.site for t in stage.tasks]
-            self.state_store.rebalance(stage.name, task_sites)
-        self._rehome_orphans(stage, diff)
-        self.runtime.suspend_stage(stage.name, now_s + transition)
-        self._notify_point(
-            AdaptationPoint.BETWEEN_SUSPEND_RESUME, stage.name, now_s
-        )
+            if abandoned_mb > 0 and not scale_down:
+                # No Migrate: abandoned partitions restart empty (Section
+                # 8.7.1 - "ignoring the state will result in a loss of
+                # accuracy in the result").
+                remaining = max(
+                    0.0, self.state_store.total_mb(stage.name) - abandoned_mb
+                )
+                self.state_store.initialize_stage(
+                    stage.name, remaining, task_sites
+                )
+            else:
+                # The store mirrors deployment: balanced partition per task.
+                self.state_store.rebalance(stage.name, task_sites)
+        # 6. Queued input and in-flight traffic follow the execution off
+        #    every vacated site; a terminated task's queue crosses the WAN.
+        for site, target in vacated.items():
+            if scale_down:
+                self.runtime.relay_queue(stage.name, site, target)
+            else:
+                self.runtime.move_task_queue(stage.name, site, target)
+            self.runtime.redirect_flows(stage.name, site, target)
         return AdaptationRecord(
             t_s=now_s,
             kind=action.kind,
-            stage=stage.name,
-            reason=action.reason,
-            transition_s=transition,
-            migration=migration,
-        )
-
-    def _execute_scale_down(
-        self, action: ScaleDownAction, now_s: float
-    ) -> AdaptationRecord:
-        stage = self._stage(action.stage)
-        partition_mb = (
-            self.state_store.mb_at_site(stage.name, action.site)
-            if stage.stateful
-            else 0.0
-        )
-        self.scheduler.remove_task(stage, action.site)
-        # Relay the terminated task's queued input and state to the
-        # best-connected surviving site.
-        survivors = stage.sites()
-        target = max(
-            survivors,
-            key=lambda s: self.wan_monitor.bandwidth_mbps(action.site, s)
-            if s != action.site
-            else float("inf"),
-        )
-        transition = 0.0
-        migration = None
-        if stage.stateful and partition_mb > 0 and action.site not in survivors:
-            migration = plan_migration(
-                stage.name,
-                {action.site: partition_mb},
-                [target],
-                self.migration_bandwidth,
-                strategy=self._current_strategy(),
-                rng=self._rng,
-            )
-            transition = migration.transition_s
-            self.state_lost_mb += migration.state_abandoned_mb
-        if stage.stateful:
-            self.state_store.rebalance(
-                stage.name, [t.site for t in stage.tasks]
-            )
-        if action.site not in survivors:
-            self.runtime.relay_queue(stage.name, action.site, target)
-            self.runtime.redirect_flows(stage.name, action.site, target)
-        if transition > 0:
-            self.runtime.suspend_stage(stage.name, now_s + transition)
-        return AdaptationRecord(
-            t_s=now_s,
-            kind=ActionKind.SCALE_DOWN,
             stage=stage.name,
             reason=action.reason,
             transition_s=transition,
@@ -965,99 +975,3 @@ class ReconfigurationManager:
             transition_s=transition,
             migration=None,
         )
-
-    # ------------------------------------------------------------------ #
-    # State-migration helpers
-    # ------------------------------------------------------------------ #
-
-    def _migrate_for_diff(
-        self,
-        stage: Stage,
-        moved_out: dict[str, float],
-        diff: AssignmentDiff,
-    ) -> MigrationPlan:
-        moved_in: list[str] = []
-        for site, count in diff.added.items():
-            moved_in.extend([site] * count)
-        moved_out = {s: mb for s, mb in moved_out.items() if s in diff.removed}
-        plan = plan_migration(
-            stage.name,
-            moved_out,
-            moved_in,
-            self.migration_bandwidth,
-            strategy=self._current_strategy(),
-            rng=self._rng,
-        )
-        return plan
-
-    def _apply_migration_side_effects(
-        self, stage: Stage, migration: MigrationPlan
-    ) -> None:
-        for transfer in migration.transfers:
-            self.checkpoints.forget_site(stage.name, transfer.from_site)
-        if stage.stateful:
-            task_sites = [t.site for t in stage.tasks]
-            if migration.state_abandoned_mb > 0:
-                # No Migrate: abandoned partitions restart empty (Section
-                # 8.7.1 - "ignoring the state will result in a loss of
-                # accuracy in the result").
-                self.state_lost_mb += migration.state_abandoned_mb
-                remaining = max(
-                    0.0,
-                    self.state_store.total_mb(stage.name)
-                    - migration.state_abandoned_mb,
-                )
-                self.state_store.initialize_stage(
-                    stage.name, remaining, task_sites
-                )
-            else:
-                # The store mirrors deployment: balanced partition per task.
-                self.state_store.rebalance(stage.name, task_sites)
-
-    def _rebalance_state(
-        self, stage: Stage, before_state: dict[str, float]
-    ) -> MigrationPlan:
-        """State re-partitioning after a parallelism change (Section 8.7.2).
-
-        The balanced layout assigns ``|state| / p'`` per task; sites with
-        excess (including sites the stage vacated entirely) ship slices to
-        sites with deficits.  Because the per-slice size shrinks as ``p'``
-        grows, scale-out bounds the slowest transfer - the reason state
-        partitioning mitigates the adaptation overhead for large states.
-        """
-        total_mb = self.state_store.total_mb(stage.name)
-        placement = stage.placement()
-        p_new = max(1, sum(placement.values()))
-        share_mb = total_mb / p_new
-        target = {site: share_mb * count for site, count in placement.items()}
-        strategy = self._current_strategy()
-        if strategy is MigrationStrategy.NONE:
-            # State partitioning always ships the state: abandoning it here
-            # would silently turn a stateful scale into data loss.
-            strategy = MigrationStrategy.WASP
-        plan = rebalance_transfers(
-            stage.name,
-            before_state,
-            target,
-            self.migration_bandwidth,
-            strategy=strategy,
-            rng=self._rng,
-        )
-        self.state_store.rebalance(stage.name, [t.site for t in stage.tasks])
-        return plan
-
-    def _rehome_orphans(self, stage: Stage, diff: AssignmentDiff) -> None:
-        """Move queued input and in-flight traffic off sites the stage no
-        longer runs at, onto the best-connected surviving site."""
-        survivors = set(stage.placement())
-        if not survivors:
-            return
-        for site in sorted(diff.removed):
-            if site in survivors:
-                continue
-            target = max(
-                sorted(survivors),
-                key=lambda s: self.wan_monitor.bandwidth_mbps(site, s),
-            )
-            self.runtime.move_task_queue(stage.name, site, target)
-            self.runtime.redirect_flows(stage.name, site, target)

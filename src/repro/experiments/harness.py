@@ -14,6 +14,7 @@ deterministic.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable
 
@@ -324,12 +325,16 @@ class ExperimentRun:
         """
         from ..chaos.faults import ChaosTarget
 
+        # Weak callbacks: a finished run is freed without the cyclic GC.
+        run = weakref.proxy(self)
         injector.attach(
             ChaosTarget(
                 topology=self.topology,
                 checkpoints=self.checkpoints,
-                fail_site=self._chaos_fail_site,
-                recover_site=self._chaos_recover_site,
+                fail_site=lambda name, t_s: run._chaos_fail_site(name, t_s),
+                recover_site=lambda name, t_s: run._chaos_recover_site(
+                    name, t_s
+                ),
             ),
             manager=self.manager,
         )

@@ -49,6 +49,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
@@ -127,7 +128,8 @@ class InvariantChecker:
     # ------------------------------------------------------------------ #
 
     def bind(self, run: "ExperimentRun") -> None:
-        self._run = run
+        # Weakly: the run holds the checker and must free without the GC.
+        self._run = weakref.proxy(run)
 
     def close(self) -> None:  # Sink protocol
         pass

@@ -1,5 +1,6 @@
 """Tests for run_variants - isolated, comparable multi-variant sweeps."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -9,6 +10,7 @@ import pytest
 from repro.baselines.variants import no_adapt, wasp
 from repro.experiments.harness import DynamicsSpec, run_variants
 from repro.experiments.scenarios import fig8_scenario
+from repro.fuzz import InvariantChecker, build_run, generate_scenario
 from repro.network.traces import paper_testbed
 from repro.sim.schedule import Schedule
 from repro.workloads.queries import ysb_advertising
@@ -96,5 +98,29 @@ class TestLifetime:
             refs = [weakref.ref(o) for o in (run, run.manager, run.runtime)]
             del run, results
             assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            gc.enable()
+
+    def test_checked_chaos_run_is_freed_without_the_cyclic_gc(self):
+        """The chaos injector and the invariant checker reach the run only
+        weakly, so a fuzz scenario run with both attached is freed by
+        reference counting alone - while the checker (whose violations
+        the campaign still reads) stays alive."""
+        spec = dataclasses.replace(generate_scenario(0), duration_s=60.0)
+        assert spec.faults
+        gc.disable()
+        try:
+            run, dynamics = build_run(spec)
+            checker = InvariantChecker()
+            run.attach_checker(checker)
+            run.run(spec.duration_s, dynamics)
+            assert run._chaos is not None and checker.ticks_checked > 0
+            refs = [
+                weakref.ref(o)
+                for o in (run, run.manager, run.runtime, run._chaos)
+            ]
+            del run
+            assert [ref() for ref in refs] == [None, None, None, None]
+            assert checker.violations == []
         finally:
             gc.enable()
