@@ -331,10 +331,8 @@ class ExperimentRun:
             ChaosTarget(
                 topology=self.topology,
                 checkpoints=self.checkpoints,
-                fail_site=lambda name, t_s: run._chaos_fail_site(name, t_s),
-                recover_site=lambda name, t_s: run._chaos_recover_site(
-                    name, t_s
-                ),
+                fail_site=lambda *args: run._chaos_fail_site(*args),
+                recover_site=lambda *args: run._chaos_recover_site(*args),
             ),
             manager=self.manager,
         )
