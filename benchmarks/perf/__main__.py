@@ -9,8 +9,10 @@ Usage (from the repo root)::
 ``--baseline`` points at an earlier emission (or a raw results file); its
 newest numbers are carried into the output's ``baseline`` block and
 per-benchmark speedups are computed against them.  ``--check`` compares a
-fresh run against the newest block of the committed file.  Without ``--out`` the JSON goes to
-stdout only.
+fresh run against the newest block of the committed file and refuses
+(exit 2) when that block was measured in another ``--mode``.  Every rate is
+the median of five repetitions.  Without ``--out`` the JSON goes to stdout
+only.
 """
 
 from __future__ import annotations
@@ -84,7 +86,8 @@ def main(argv: list[str] | None = None) -> int:
         help=(
             "regression check: run fresh, compare per-benchmark rates "
             "against the committed BENCH_engine.json (or --baseline) and "
-            "exit 1 on any >20%% rate regression"
+            "exit 1 on any >20%% rate regression; exit 2 if that file was "
+            "measured in another --mode"
         ),
     )
     args = parser.parse_args(argv)
@@ -94,6 +97,13 @@ def main(argv: list[str] | None = None) -> int:
         baseline = _load_baseline(baseline_path)
         if baseline is None:
             print(f"error: no usable baseline at {baseline_path}", file=sys.stderr)
+            return 2
+        if baseline.get("mode") != args.mode:
+            print(
+                f"error: {baseline_path} holds mode={baseline.get('mode')!r} "
+                f"rates; rerun with --mode {baseline.get('mode')}",
+                file=sys.stderr,
+            )
             return 2
         results = run_all(args.mode)
         print(f"perf check vs {baseline_path} (mode={args.mode})")

@@ -93,18 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--duration", type=float, default=900.0)
     run_p.add_argument("--seed", type=int, default=42)
     run_p.add_argument(
-        "--profile",
-        action="store_true",
-        help="profile each variant with cProfile and print the hot spots",
-    )
-    run_p.add_argument(
-        "--profile-out",
-        default=None,
-        metavar="PATH",
-        help="with --profile: also dump the raw pstats file for offline "
-        "analysis (per-variant suffix when several variants run)",
-    )
-    run_p.add_argument(
         "--trace-out",
         default=None,
         metavar="PATH",
@@ -181,43 +169,6 @@ def _resolve_variants(names: list[str] | None) -> list[VariantSpec]:
     return specs
 
 
-def _profiled_run(
-    run: ExperimentRun, duration: float, dynamics, profile_out: str | None = None
-):
-    """Run under cProfile; print wall time, tick rate and top hot spots."""
-    import cProfile
-    import io
-    import pstats
-    import time
-
-    profiler = cProfile.Profile()
-    t0 = time.perf_counter()
-    profiler.enable()
-    recorder = run.run(duration, dynamics)
-    profiler.disable()
-    wall = time.perf_counter() - t0
-    ticks = duration / run.config.tick_s
-    print(
-        f"  profile: {wall:.3f}s wall, "
-        f"{ticks / wall if wall > 0 else float('inf'):.0f} ticks/s"
-    )
-    out = io.StringIO()
-    stats = pstats.Stats(profiler, stream=out)
-    if profile_out:
-        stats.dump_stats(profile_out)
-        print(f"  pstats -> {profile_out}")
-    stats.sort_stats("cumulative").print_stats(15)
-    # Skip pstats' preamble; indent the table under the variant header.
-    lines = out.getvalue().splitlines()
-    start = next(
-        (i for i, line in enumerate(lines) if "ncalls" in line), 0
-    )
-    for line in lines[start:]:
-        if line.strip():
-            print(f"  {line}")
-    return recorder
-
-
 def _variant_path(path: str, variant_name: str, multi: bool) -> str:
     """Suffix ``path`` with the variant name when several variants run."""
     if not multi:
@@ -252,20 +203,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             run.attach_metrics(metrics_path)
             print(f"  metrics -> {metrics_path}")
         dynamics = DYNAMICS[args.dynamics](rngs)
-        if args.profile:
-            profile_out = (
-                _variant_path(args.profile_out, variant.name, multi)
-                if args.profile_out
-                else None
-            )
-            recorder = _profiled_run(run, args.duration, dynamics, profile_out)
-        else:
-            if args.profile_out:
-                print(
-                    "note: --profile-out ignored without --profile",
-                    file=sys.stderr,
-                )
-            recorder = run.run(args.duration, dynamics)
+        recorder = run.run(args.duration, dynamics)
         run.obs.close()
         print(f"\n--- {variant.name} ---")
         print(f"  mean delay      : {recorder.mean_delay():10.2f} s")

@@ -34,15 +34,11 @@ class WaspConfig:
             query to stabilize").
         checkpoint_interval_s: Localized checkpointing period (Section 8.3).
         tick_s: Simulation tick length in seconds.
-        slo_s: Latency SLO used by the Degrade baseline (Section 8.4 sets
-            10 s).
         backlog_health_s: Queueing delay below which an execution is still
             considered healthy; absorbs transient workload spikes, which the
             paper explicitly ignores (Section 7).
         waste_utilization: Utilization threshold below which a stage is
             flagged as wasteful and considered for scale-down (Section 4.2).
-        scale_down_step: Number of tasks removed per scale-down iteration;
-            the paper argues for a gradual reduction of 1 per iteration.
         max_scale_out_per_round: Cap on additional tasks acquired per
             adaptation round, preventing resource hoarding (Section 6.2).
         estimation_error: Relative error injected into the WAN monitor's
@@ -56,10 +52,8 @@ class WaspConfig:
     monitor_interval_s: float = 40.0
     checkpoint_interval_s: float = 30.0
     tick_s: float = 1.0
-    slo_s: float = 10.0
     backlog_health_s: float = 2.0
     waste_utilization: float = 0.5
-    scale_down_step: int = 1
     max_scale_out_per_round: int = 4
     estimation_error: float = 0.0
     reconfig_base_overhead_s: float = 2.0
@@ -97,16 +91,10 @@ class WaspConfig:
             )
         if self.tick_s <= 0:
             raise ConfigurationError(f"tick_s must be > 0, got {self.tick_s}")
-        if self.slo_s <= 0:
-            raise ConfigurationError(f"slo_s must be > 0, got {self.slo_s}")
         if not 0.0 <= self.waste_utilization < 1.0:
             raise ConfigurationError(
                 "waste_utilization must be in [0, 1), got "
                 f"{self.waste_utilization}"
-            )
-        if self.scale_down_step < 1:
-            raise ConfigurationError(
-                f"scale_down_step must be >= 1, got {self.scale_down_step}"
             )
         if self.max_scale_out_per_round < 1:
             raise ConfigurationError(
@@ -151,6 +139,3 @@ class WaspConfig:
     def with_overrides(self, **overrides: Any) -> "WaspConfig":
         """Return a copy with the given fields replaced (and re-validated)."""
         return replace(self, **overrides)
-
-
-DEFAULT_CONFIG = WaspConfig.paper_defaults()

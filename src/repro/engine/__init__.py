@@ -1,10 +1,5 @@
 """Stream-engine substrate: operators, plans, queues, state, runtime."""
 
-from .backpressure import (
-    TopologyCapacityModel,
-    bottleneck_stages,
-    steady_state_rates,
-)
 from .checkpoint import CheckpointCoordinator, CheckpointRecord
 from .logical import LogicalPlan, can_replace_preserving_state
 from .metrics import GlobalMetricMonitor, MetricsWindow, StageMetrics
@@ -16,9 +11,6 @@ from .state import StatePartition, StateStore
 
 __all__ = [
     "CheckpointCoordinator",
-    "TopologyCapacityModel",
-    "bottleneck_stages",
-    "steady_state_rates",
     "CheckpointRecord",
     "EngineRuntime",
     "FluidQueue",

@@ -12,8 +12,9 @@ latest local snapshot, and answers the two questions the controller asks:
 
 * how much data must cross the WAN to move a task from site A to site B
   (``migration_mb``), and
-* how much progress is lost if state is abandoned instead (``staleness``) -
-  the "No Migrate" baseline of Section 8.7.1 pays this in accuracy.
+* how much progress is lost if state is abandoned instead (the age of the
+  ``record``) - the "No Migrate" baseline of Section 8.7.1 pays this in
+  accuracy.
 """
 
 from __future__ import annotations
@@ -100,14 +101,6 @@ class CheckpointCoordinator:
             )
         return written
 
-    def maybe_checkpoint(
-        self, now_s: float, *, skip_sites: frozenset[str] | set[str] = frozenset()
-    ) -> list[CheckpointRecord]:
-        """Checkpoint if a full interval has elapsed since the last one."""
-        if now_s - self._last_checkpoint_s + 1e-9 >= self._interval_s:
-            return self.checkpoint_all(now_s, skip_sites=skip_sites)
-        return []
-
     def record(self, stage_name: str, site: str) -> CheckpointRecord | None:
         return self._records.get((stage_name, site))
 
@@ -119,13 +112,6 @@ class CheckpointCoordinator:
         """
         return self._store.mb_at_site(stage_name, from_site)
 
-    def staleness_s(self, stage_name: str, site: str, now_s: float) -> float:
-        """Age of the newest local snapshot (infinite if none exists)."""
-        record = self._records.get((stage_name, site))
-        if record is None:
-            return float("inf")
-        return now_s - record.taken_at_s
-
     def forget_site(self, stage_name: str, site: str) -> None:
         """Drop records for a partition that moved away or was discarded."""
         self._records.pop((stage_name, site), None)
@@ -134,7 +120,7 @@ class CheckpointCoordinator:
         """Drop every stage's snapshot at ``site`` (checkpoint-loss fault).
 
         Returns the stages that lost a record; their recovery falls back to
-        replaying from t=0 (staleness becomes infinite).
+        replaying from t=0.
         """
         lost = [
             stage for (stage, s) in list(self._records) if s == site

@@ -156,11 +156,6 @@ class Stage:
                 return self.tasks.pop(i)
         raise PlanError(f"stage {self.name!r} has no task at site {site!r}")
 
-    def remove_task(self, task: Task) -> None:
-        """Remove one specific task (failure evacuation)."""
-        self.tasks.remove(task)
-        self.version += 1
-
     def set_tasks(self, tasks: list[Task]) -> None:
         """Replace the whole task set (transaction rollback)."""
         self.tasks[:] = tasks
@@ -170,12 +165,6 @@ class Stage:
         """Drop every task (undeploy / abandoned-plan cleanup)."""
         self.tasks.clear()
         self.version += 1
-
-    def state_mb_per_task(self) -> float:
-        """Per-task state share under balanced partitioning (Section 7)."""
-        if not self.tasks or not self.stateful:
-            return 0.0
-        return self.state_mb / len(self.tasks)
 
 
 class PhysicalPlan:
@@ -260,12 +249,6 @@ class PhysicalPlan:
             return self.stages[name]
         except KeyError:
             raise PlanError(f"unknown stage {name!r}") from None
-
-    def stage_of_operator(self, op_name: str) -> Stage:
-        try:
-            return self.stages[self._member_of[op_name]]
-        except KeyError:
-            raise PlanError(f"unknown operator {op_name!r}") from None
 
     def topological_stages(self) -> list[Stage]:
         """Stages in topological order (cached; do not mutate)."""

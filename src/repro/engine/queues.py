@@ -178,15 +178,6 @@ class FluidQueue:
                 queue.append(Parcel(count, gen))
             self._count += count
 
-    def clone(self) -> "FluidQueue":
-        """Exact independent copy (parcel order, counts and ages)."""
-        copy = FluidQueue()
-        copy._parcels = deque(
-            Parcel(p.count, p.gen_time_s) for p in self._parcels
-        )
-        copy._count = self._count
-        return copy
-
     def clone_cow(self) -> "FluidQueue":
         """Copy-on-write clone: O(1) now, pays the copy on first mutation.
 
@@ -292,18 +283,6 @@ class FluidQueue:
             parcels.clear()
         return dropped
 
-    def clear(self) -> float:
-        """Empty the queue; returns the number of events discarded."""
-        dropped = self._count
-        if self._shared:
-            # No copy needed: discard the shared storage reference wholesale.
-            self._parcels = deque()
-            self._shared = False
-        else:
-            self._parcels.clear()
-        self._count = 0.0
-        return dropped
-
     def oldest_gen_time_s(self) -> float | None:
         return self._parcels[0].gen_time_s if self._parcels else None
 
@@ -315,26 +294,9 @@ class FluidQueue:
         """
         return [Parcel(p.count, p.gen_time_s) for p in self._parcels]
 
-    def mean_age_s(self, now_s: float) -> float:
-        """Average age of queued events (0 for an empty queue)."""
-        if self._count <= 0:
-            return 0.0
-        total_age = sum(
-            p.count * (now_s - p.gen_time_s) for p in self._parcels
-        )
-        return total_age / self._count
-
 
 def parcels_total(parcels: list[Parcel]) -> float:
     return sum(p.count for p in parcels)
-
-
-def parcels_mean_gen_time(parcels: list[Parcel]) -> float:
-    """Event-weighted mean generation time; raises on empty input."""
-    total = parcels_total(parcels)
-    if total <= 0:
-        raise SimulationError("no parcels to average")
-    return sum(p.count * p.gen_time_s for p in parcels) / total
 
 
 def scale_parcels(parcels: list[Parcel], factor: float) -> list[Parcel]:

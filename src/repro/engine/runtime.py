@@ -328,28 +328,6 @@ class EngineRuntime:
             self._exec_cache = cache
         return cache
 
-    def input_backlog(self, stage_name: str, site: str | None = None) -> float:
-        """Events queued at a stage's input (optionally one site only)."""
-        total = 0.0
-        for (name, s), queue in self._input_queue.items():
-            if name == stage_name and (site is None or s == site):
-                total += queue.count
-        if self._plan.stages.get(stage_name, None) is not None:
-            stage = self._plan.stages[stage_name]
-            if stage.is_source:
-                for (name, s), queue in self._gen_queue.items():
-                    if name == stage_name and (site is None or s == site):
-                        total += queue.count
-        return total
-
-    def net_backlog_for(self, dst_stage: str) -> dict[tuple[str, str], float]:
-        """Per (src_site, dst_site) WAN backlog feeding ``dst_stage``."""
-        result: dict[tuple[str, str], float] = {}
-        for (src, dst, su, sd), queue in self._net_queue.items():
-            if dst == dst_stage and queue.count > 0:
-                result[(su, sd)] = result.get((su, sd), 0.0) + queue.count
-        return result
-
     def total_backlog(self) -> float:
         return (
             sum(q.count for q in self._gen_queue.values())

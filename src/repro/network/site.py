@@ -136,10 +136,6 @@ class Site:
         """Re-allocate the revoked resources."""
         self._failed = False
 
-    def release_all(self) -> None:
-        """Free every slot (used when a failed site's tasks are torn down)."""
-        self._used_slots = 0
-
     def force_used_slots(self, count: int) -> None:
         """Set the used-slot counter directly (adaptation rollback only).
 

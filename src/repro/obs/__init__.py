@@ -1,7 +1,7 @@
 """Structured observability for the adaptation control loop.
 
 ``repro.obs`` is the runtime telemetry layer: typed, sim-clock-stamped
-events for the full adaptation lifecycle (:mod:`.events`), span-structured
+events for the full adaptation lifecycle (:mod:`.events`), adaptation-round
 trace reconstruction (:mod:`.trace`) and pluggable sinks - in-memory ring
 buffer, JSONL trace files, Prometheus textfile metrics (:mod:`.sinks`).
 
@@ -61,10 +61,8 @@ from .trace import (
     ActionTrace,
     AttemptTrace,
     RoundTrace,
-    Span,
     TraceSummary,
     TransferTrace,
-    build_spans,
     reconstruct,
     render_timeline,
 )
@@ -98,7 +96,6 @@ __all__ = [
     "RoundStart",
     "RoundTrace",
     "Snapshot",
-    "Span",
     "SpanEnd",
     "SpanStart",
     "TraceSummary",
@@ -106,7 +103,6 @@ __all__ = [
     "Validate",
     "Verify",
     "WindowSnapshot",
-    "build_spans",
     "read_jsonl",
     "reconstruct",
     "render_timeline",

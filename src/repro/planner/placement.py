@@ -246,15 +246,3 @@ def solve_placement(
     return PlacementSolution(
         assignment=assignment, cost=total_cost, per_site_cost=costs
     )
-
-
-def max_placeable_tasks(
-    problem: PlacementProblem,
-    network: NetworkView,
-) -> int:
-    """Upper bound on parallelism the network/slots admit (for scale-out)."""
-    return sum(
-        per_site_capacity(site, problem, network)
-        for site in problem.available_slots
-    )
-

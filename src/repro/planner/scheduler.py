@@ -124,13 +124,6 @@ class Scheduler:
                 stage.add_task(site)
         return AssignmentDiff(stage=stage.name, added=added, removed=removed)
 
-    def add_tasks(self, stage: Stage, assignment: dict[str, int]) -> AssignmentDiff:
-        """Scale up/out: add tasks on top of the existing placement."""
-        target = stage.placement()
-        for site, count in assignment.items():
-            target[site] = target.get(site, 0) + count
-        return self.apply_assignment(stage, target)
-
     def remove_task(self, stage: Stage, site: str) -> AssignmentDiff:
         """Scale down by one task at ``site`` (Section 4.2 removes one per
         iteration, prioritizing performance stability)."""
@@ -147,30 +140,6 @@ class Scheduler:
                 f"cannot remove the last task of stage {stage.name!r}"
             )
         return self.apply_assignment(stage, target)
-
-    # ------------------------------------------------------------------ #
-    # Failure handling
-    # ------------------------------------------------------------------ #
-
-    def evacuate_failed_sites(self, plan: PhysicalPlan) -> dict[str, int]:
-        """Drop tasks stranded on failed sites; returns lost tasks per stage.
-
-        Slots on a failed site are released wholesale (the site lost them
-        anyway); the controller is responsible for re-deploying capacity
-        after recovery.
-        """
-        lost: dict[str, int] = {}
-        failed_sites = {s.name for s in self._topology if s.failed}
-        if not failed_sites:
-            return lost
-        for stage in plan.topological_stages():
-            stranded = [t for t in stage.tasks if t.site in failed_sites]
-            for task in stranded:
-                stage.remove_task(task)
-                lost[stage.name] = lost.get(stage.name, 0) + 1
-        for site_name in failed_sites:
-            self._topology.site(site_name).release_all()
-        return lost
 
     # ------------------------------------------------------------------ #
     # Helpers

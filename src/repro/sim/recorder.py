@@ -183,19 +183,6 @@ class RunRecorder:
             return float("nan")
         return float(np.average(values, weights=weights))
 
-    def delay_cdf(self, points: int = 200) -> tuple[np.ndarray, np.ndarray]:
-        """Return (delay, cumulative fraction) pairs for a CDF plot."""
-        values, weights = self._finite_delays()
-        if values.size == 0:
-            return np.array([]), np.array([])
-        order = np.argsort(values)
-        values, weights = values[order], weights[order]
-        cum = np.cumsum(weights) / weights.sum()
-        if len(values) <= points:
-            return values, cum
-        idx = np.linspace(0, len(values) - 1, points).astype(int)
-        return values[idx], cum[idx]
-
     def total_processed(self) -> float:
         return float(sum(s.processed for s in self._samples))
 

@@ -239,3 +239,24 @@ def _digest(action_name, point):
 )
 def test_reconfiguration_at_point_is_pinned(action_name, point):
     assert _digest(action_name, point) == PINS[(action_name, point)]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ReconfigurationManager._verify never checks a transfer's "
+    "source, so a re-assign whose source crashes mid-migration commits "
+    "as primary with the whole state at the destination",
+)
+def test_crashed_source_does_not_deliver_its_state():
+    manager = _warm_world(100.0, None)
+    injector = ChaosInjector(rng=np.random.default_rng(0))
+    injector.at_point(AdaptationPoint.MIGRATION_IN_FLIGHT, SiteCrash("dc-1"))
+    injector.attach(
+        ChaosTarget(manager.runtime.topology, manager.checkpoints),
+        manager=manager,
+    )
+    manager.execute(
+        ReassignAction("agg", "pin", {"dc-2": 1}), manager.runtime.now_s
+    )
+    delivered_mb = manager.state_store.mb_at_site("agg", "dc-2")
+    assert manager.state_lost_mb > 0 or delivered_mb < 100.0

@@ -1,7 +1,5 @@
 """Tests for repro.engine.checkpoint - localized checkpointing."""
 
-import math
-
 import pytest
 
 from repro.engine.checkpoint import CheckpointCoordinator
@@ -32,12 +30,6 @@ class TestCheckpointing:
         record = coordinator.record("agg", "a")
         assert record is not None and record.taken_at_s == 10.0
 
-    def test_maybe_checkpoint_respects_interval(self, store):
-        coordinator = CheckpointCoordinator(store, interval_s=30.0)
-        assert coordinator.maybe_checkpoint(30.0)
-        assert not coordinator.maybe_checkpoint(45.0)
-        assert coordinator.maybe_checkpoint(60.0)
-
     def test_invalid_interval_rejected(self, store):
         with pytest.raises(CheckpointError):
             CheckpointCoordinator(store, interval_s=0.0)
@@ -63,15 +55,6 @@ class TestMigrationSupport:
         store.set_total_mb("agg", 120.0)  # state grew since the snapshot
         assert coordinator.migration_mb("agg", "a") == pytest.approx(60.0)
 
-    def test_staleness(self, store):
-        coordinator = CheckpointCoordinator(store)
-        coordinator.checkpoint_all(10.0)
-        assert coordinator.staleness_s("agg", "a", 25.0) == pytest.approx(15.0)
-
-    def test_staleness_infinite_without_snapshot(self, store):
-        coordinator = CheckpointCoordinator(store)
-        assert math.isinf(coordinator.staleness_s("agg", "a", 0.0))
-
     def test_forget_site(self, store):
         coordinator = CheckpointCoordinator(store)
         coordinator.checkpoint_all(0.0)
@@ -94,13 +77,6 @@ class TestSkipSites:
         records = coordinator.checkpoint_all(10.0, skip_sites={"a"})
         assert {r.site for r in records} == {"b"}
         assert coordinator.record("agg", "a") is None
-        assert math.isinf(coordinator.staleness_s("agg", "a", 10.0))
-
-    def test_maybe_checkpoint_forwards_skips(self, store):
-        coordinator = CheckpointCoordinator(store, interval_s=30.0)
-        coordinator.maybe_checkpoint(30.0, skip_sites={"b"})
-        assert coordinator.record("agg", "a") is not None
-        assert coordinator.record("agg", "b") is None
 
 
 class TestCheckpointLossAndRollback:

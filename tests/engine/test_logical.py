@@ -174,10 +174,6 @@ class TestSignatures:
             linear_plan().subplan_signature("agg") == b.subplan_signature("agg")
         )
 
-    def test_stateful_signatures_map(self):
-        plan = linear_plan()
-        assert set(plan.stateful_signatures()) == {"agg"}
-
 
 class TestStateSafety:
     """Section 4.3: switching plans must preserve stateful sub-plans."""

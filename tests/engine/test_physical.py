@@ -68,10 +68,6 @@ class TestChaining:
         plan = PhysicalPlan(fan_in_logical())
         assert [op.name for op in plan.stage("a").operators] == ["a", "fa"]
 
-    def test_stage_of_operator(self):
-        plan = PhysicalPlan(chained_logical())
-        assert plan.stage_of_operator("mp").name == "src"
-
 
 class TestCombinedProperties:
     def test_combined_selectivity(self):
@@ -137,19 +133,6 @@ class TestTasks:
         plan = PhysicalPlan(chained_logical())
         with pytest.raises(PlanError):
             plan.stage("agg").remove_task_at("nowhere")
-
-    def test_state_per_task_balanced(self):
-        plan = PhysicalPlan(chained_logical())
-        stage = plan.stage("agg")
-        stage.add_task("a")
-        stage.add_task("b")
-        assert stage.state_mb_per_task() == pytest.approx(3.0)
-
-    def test_state_per_task_zero_for_stateless(self):
-        plan = PhysicalPlan(chained_logical())
-        stage = plan.stage("src")
-        stage.add_task("site-a")
-        assert stage.state_mb_per_task() == 0.0
 
 
 class TestStageGraph:

@@ -45,7 +45,7 @@ ops = st.lists(
             parcel_lists,
             st.floats(min_value=0.0, max_value=60.0, allow_nan=False),
         ),
-        st.tuples(st.just("clear")),
+        st.tuples(st.just("drain")),
         st.tuples(st.just("clone_cow")),
     ),
     max_size=25,
@@ -96,8 +96,8 @@ class TestMassConservation:
                 parcels = [Parcel(c, g) for c, g in op[1]]
                 queue.push_aged(parcels, op[2])
                 pushed += parcels_total(parcels)
-            elif kind == "clear":
-                removed += queue.clear()
+            elif kind == "drain":
+                removed += queue.drop_oldest(queue.count)
             elif kind == "clone_cow":
                 clones.append(queue.clone_cow())
             tol = 1e-6 + 1e-9 * max(pushed, removed)
@@ -137,7 +137,7 @@ class TestFusedEqualsCompositional:
     @settings(max_examples=100)
     def test_push_scaled(self, pairs, extra, factor):
         fused = fill(pairs)
-        composed = fused.clone()
+        composed = fill(pairs)
         parcels = [Parcel(c, g) for c, g in extra]
         returned = fused.push_scaled(parcels, factor)
         scaled = scale_parcels(parcels, factor)
@@ -154,7 +154,7 @@ class TestFusedEqualsCompositional:
     @settings(max_examples=100)
     def test_push_aged(self, pairs, extra, age):
         fused = fill(pairs)
-        composed = fused.clone()
+        composed = fill(pairs)
         parcels = [Parcel(c, g) for c, g in extra]
         fused.push_aged(parcels, age)
         composed.push_parcels(age_parcels(parcels, age))
@@ -165,7 +165,7 @@ class TestFusedEqualsCompositional:
     @settings(max_examples=100)
     def test_drop_oldest_leaves_same_tail_as_pop(self, pairs, amount):
         dropper = fill(pairs)
-        popper = dropper.clone()
+        popper = fill(pairs)
         dropped = dropper.drop_oldest(amount)
         popped = popper.pop(amount)
         assert as_pairs(dropper) == as_pairs(popper)
@@ -181,21 +181,21 @@ class TestCopyOnWriteIsolation:
     @settings(max_examples=100)
     def test_mutating_original_never_touches_clone(self, pairs, sequence):
         queue = fill(pairs)
-        snapshot = queue.clone()  # eager, trivially independent
+        snapshot, count = as_pairs(queue), queue.count
         cow = queue.clone_cow()
         self._apply(queue, sequence)
-        assert as_pairs(cow) == as_pairs(snapshot)
-        assert cow.count == snapshot.count
+        assert as_pairs(cow) == snapshot
+        assert cow.count == count
 
     @given(parcel_lists, ops)
     @settings(max_examples=100)
     def test_mutating_clone_never_touches_original(self, pairs, sequence):
         queue = fill(pairs)
-        snapshot = queue.clone()
+        snapshot, count = as_pairs(queue), queue.count
         cow = queue.clone_cow()
         self._apply(cow, sequence)
-        assert as_pairs(queue) == as_pairs(snapshot)
-        assert queue.count == snapshot.count
+        assert as_pairs(queue) == snapshot
+        assert queue.count == count
 
     @staticmethod
     def _apply(queue: FluidQueue, sequence) -> None:
@@ -213,7 +213,7 @@ class TestCopyOnWriteIsolation:
                 queue.push_scaled([Parcel(c, g) for c, g in op[1]], op[2])
             elif kind == "push_aged":
                 queue.push_aged([Parcel(c, g) for c, g in op[1]], op[2])
-            elif kind == "clear":
-                queue.clear()
+            elif kind == "drain":
+                queue.drop_oldest(queue.count)
             elif kind == "clone_cow":
                 queue.clone_cow()

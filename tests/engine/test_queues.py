@@ -8,7 +8,6 @@ from repro.engine.queues import (
     FluidQueue,
     Parcel,
     age_parcels,
-    parcels_mean_gen_time,
     parcels_total,
     scale_parcels,
 )
@@ -101,22 +100,8 @@ class TestDropping:
         queue.push(10.0, 100.0)
         assert queue.drop_older_than(50.0) == 0.0
 
-    def test_clear(self):
-        queue = FluidQueue()
-        queue.push(7.0, 0.0)
-        assert queue.clear() == pytest.approx(7.0)
-        assert not queue
-
 
 class TestAges:
-    def test_mean_age(self):
-        queue = FluidQueue()
-        queue.push(10.0, 0.0)
-        queue.push(10.0, 10.0)
-        assert queue.mean_age_s(now_s=20.0) == pytest.approx(15.0)
-
-    def test_mean_age_empty(self):
-        assert FluidQueue().mean_age_s(0.0) == 0.0
 
     def test_oldest_gen_time_none_when_empty(self):
         assert FluidQueue().oldest_gen_time_s() is None
@@ -142,14 +127,6 @@ class TestParcelHelpers:
     def test_age_negative_rejected(self):
         with pytest.raises(SimulationError):
             age_parcels([Parcel(1.0, 0.0)], -0.1)
-
-    def test_mean_gen_time_weighted(self):
-        parcels = [Parcel(30.0, 0.0), Parcel(10.0, 4.0)]
-        assert parcels_mean_gen_time(parcels) == pytest.approx(1.0)
-
-    def test_mean_gen_time_empty_rejected(self):
-        with pytest.raises(SimulationError):
-            parcels_mean_gen_time([])
 
 
 # ------------------------------------------------------------------------ #

@@ -69,14 +69,6 @@ class TestCoScheduling:
         with pytest.raises(ConfigurationError):
             MultiQueryRun(topo, [], rngs=rngs)
 
-    def test_run_named(self):
-        multi = build_multi()
-        assert multi.run_named("ysb-advertising").query.name == (
-            "ysb-advertising"
-        )
-        with pytest.raises(ConfigurationError):
-            multi.run_named("nope")
-
 
 class TestContention:
     def test_second_query_costs_the_first(self):
@@ -87,10 +79,10 @@ class TestContention:
         together = build_multi(starts=(0.0, 0.0), twitter_rate=20_000.0)
         together.run(240)
         ysb_alone = mean_delay(
-            alone.run_named("ysb-advertising").recorder, 120, 240
+            alone.recorders()["ysb-advertising/No Adapt"], 120, 240
         )
         ysb_together = mean_delay(
-            together.run_named("ysb-advertising").recorder, 120, 240
+            together.recorders()["ysb-advertising/No Adapt"], 120, 240
         )
         assert ysb_together >= ysb_alone * 0.99  # never cheaper
 

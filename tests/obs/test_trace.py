@@ -25,7 +25,8 @@ from repro.obs.events import (
     Verify,
 )
 from repro.obs.sinks import RingBufferSink
-from repro.obs.trace import build_spans, reconstruct, render_timeline
+from repro.obs.trace import reconstruct, render_timeline
+from tests.obs.spans import build_spans
 
 
 def diagnose(t, stage, health="healthy"):

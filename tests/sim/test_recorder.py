@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -107,25 +106,6 @@ class TestDistributions:
         assert math.isnan(recorder.mean_delay())
         assert math.isnan(recorder.delay_percentile(50))
 
-    def test_cdf_monotone(self):
-        recorder = RunRecorder()
-        rng = np.random.default_rng(0)
-        for t in range(100):
-            recorder.record_tick(
-                make_sample(float(t), delay=float(rng.uniform(0.1, 30)))
-            )
-        xs, ys = recorder.delay_cdf()
-        assert (np.diff(xs) >= 0).all()
-        assert (np.diff(ys) >= 0).all()
-        assert ys[-1] == pytest.approx(1.0)
-
-    def test_cdf_caps_points(self):
-        recorder = RunRecorder()
-        for t in range(500):
-            recorder.record_tick(make_sample(float(t), delay=float(t)))
-        xs, _ = recorder.delay_cdf(points=50)
-        assert len(xs) == 50
-
     @given(st.lists(st.floats(min_value=0.01, max_value=1e4), min_size=1,
                     max_size=60))
     def test_percentile_within_observed_range(self, delays):
@@ -214,8 +194,6 @@ class TestIdleWindowNan:
             )
         assert math.isnan(recorder.mean_delay())
         assert math.isnan(recorder.delay_percentile(95))
-        xs, ys = recorder.delay_cdf()
-        assert len(xs) == 0 and len(ys) == 0
 
     def test_idle_window_between_busy_ticks_is_skipped(self):
         recorder = RunRecorder()
@@ -230,7 +208,7 @@ class TestIdleWindowNan:
     def test_distribution_helpers_skip_nan_defensively(self):
         # Even if a NaN observation reaches the internal arrays (e.g. a
         # future recording path forgets the record_tick guard), the
-        # percentile/mean/CDF helpers must drop it rather than let NaN
+        # percentile/mean helpers must drop it rather than let NaN
         # propagate through sort/cumsum.
         recorder = RunRecorder()
         recorder.record_tick(make_sample(1.0, delay=2.0, processed=100.0))
@@ -238,5 +216,3 @@ class TestIdleWindowNan:
         recorder._delay_weights.append(50.0)
         assert recorder.mean_delay() == pytest.approx(2.0)
         assert recorder.delay_percentile(99) == pytest.approx(2.0)
-        xs, _ = recorder.delay_cdf()
-        assert not np.isnan(xs).any()

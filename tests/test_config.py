@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import DEFAULT_CONFIG, WaspConfig
+from repro.config import WaspConfig
 from repro.errors import ConfigurationError
 
 
@@ -18,12 +18,6 @@ class TestPaperDefaults:
 
     def test_checkpoint_interval_thirty_seconds(self):
         assert WaspConfig.paper_defaults().checkpoint_interval_s == 30.0
-
-    def test_slo_ten_seconds(self):
-        assert WaspConfig.paper_defaults().slo_s == 10.0
-
-    def test_default_config_matches_paper_defaults(self):
-        assert DEFAULT_CONFIG == WaspConfig.paper_defaults()
 
 
 class TestValidation:
@@ -56,17 +50,9 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             WaspConfig(tick_s=0)
 
-    def test_zero_slo_rejected(self):
-        with pytest.raises(ConfigurationError):
-            WaspConfig(slo_s=0)
-
     def test_waste_utilization_one_rejected(self):
         with pytest.raises(ConfigurationError):
             WaspConfig(waste_utilization=1.0)
-
-    def test_scale_down_step_zero_rejected(self):
-        with pytest.raises(ConfigurationError):
-            WaspConfig(scale_down_step=0)
 
     def test_max_scale_out_zero_rejected(self):
         with pytest.raises(ConfigurationError):
